@@ -7,8 +7,10 @@ inputs and served from a store instead of recomputed.  The cache is
 two-level:
 
 * an in-process dictionary (hit cost: one dict lookup), and
-* an optional on-disk ``.npz`` store under ``cache_dir`` that survives
-  process restarts and is shared by sharded workers.
+* an optional on-disk store under ``cache_dir`` that survives process
+  restarts and is shared by sharded workers: one ``<key>.frame`` file
+  per entry in the binary frame format (:mod:`repro.batch.frame`), so a
+  disk hit is one ``read()`` plus a header parse.
 
 Keys are SHA-256 digests of a canonical encoding of the request
 (dataclass fields, enum values, array bytes), so two requests collide
@@ -27,14 +29,18 @@ least-recently-used order and evicted once the tier exceeds the bound,
 with eviction counts surfaced in :class:`CacheStats`.  Hit/miss
 statistics are tracked per cache and surfaced in the experiment
 runner's report and the CLI's ``--cache-dir`` output, so a warm cache
-is visible, not silent.
+is visible, not silent.  A disk tier that cannot be read or written
+(full, read-only) degrades to the memory tier: the failure is counted
+in ``disk_errors`` and the request is still served.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
 import os
+import re
 import tempfile
 import threading
 import time
@@ -45,6 +51,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from repro.batch.frame import FrameError, decode_frame, encode_frame
 from repro.errors import InvalidParameterError
 from repro.machines.bus import AsynchronousBus, SynchronousBus
 
@@ -69,6 +76,12 @@ def max_cache_bytes(max_cache_mb: float | None) -> int | None:
 #: belong to a live writer in another process; older ones are crash
 #: debris and are swept when a cache opens the directory.
 ORPHAN_TMP_MAX_AGE_S = 3600.0
+
+#: A writer's temp file: ``*.frame.tmp*``, or ``*.npz.tmp*`` from the
+#: store's earlier npz format.
+_TMP_FILE = re.compile(r"\.(?:frame|npz)\.tmp")
+#: An entry of the earlier npz format, which nothing reads any more.
+_LEGACY_ENTRY = re.compile(r"[0-9a-f]{64}\.npz")
 
 
 # --------------------------------------------------------------------------
@@ -199,6 +212,8 @@ class CacheStats:
     misses: int = 0
     memory_evictions: int = 0
     disk_evictions: int = 0
+    #: Disk-tier reads and writes that failed with an ``OSError``.
+    disk_errors: int = 0
     nodes_planned: int = 0
     siblings_fused: int = 0
     subgraphs_deduped: int = 0
@@ -227,6 +242,7 @@ class CacheStats:
             "misses": self.misses,
             "memory_evictions": self.memory_evictions,
             "disk_evictions": self.disk_evictions,
+            "disk_errors": self.disk_errors,
             "nodes_planned": self.nodes_planned,
             "siblings_fused": self.siblings_fused,
             "subgraphs_deduped": self.subgraphs_deduped,
@@ -247,6 +263,7 @@ class CacheStats:
         self.misses += int(counts.get("misses", 0))
         self.memory_evictions += int(counts.get("memory_evictions", 0))
         self.disk_evictions += int(counts.get("disk_evictions", 0))
+        self.disk_errors += int(counts.get("disk_errors", 0))
         self.nodes_planned += int(counts.get("nodes_planned", 0))
         self.siblings_fused += int(counts.get("siblings_fused", 0))
         self.subgraphs_deduped += int(counts.get("subgraphs_deduped", 0))
@@ -265,6 +282,8 @@ class CacheStats:
         )
         if self.evictions:
             line += f", {self.evictions} evictions"
+        if self.disk_errors:
+            line += f", {self.disk_errors} disk errors"
         if self.nodes_planned:
             executors = "+".join(sorted(self.executor_runs)) or "none"
             line += (
@@ -276,23 +295,35 @@ class CacheStats:
 
 
 class SweepCache:
-    """Two-level (memory + optional ``.npz`` directory) result store.
+    """Two-level (memory + optional frame-file directory) result store.
 
     Values are mappings from array name to ``np.ndarray`` — exactly what
-    the analysis layer's curve objects serialize to.  Disk writes are
-    atomic (write to a temp file, then rename), so concurrent sharded
-    workers sharing one ``cache_dir`` never observe torn files; temp
-    files orphaned by a worker that crashed mid-write are swept the
+    the analysis layer's curve objects serialize to.  Each disk entry is
+    one ``<key>.frame`` file (:attr:`ENTRY_SUFFIX`) in the binary frame
+    format.  Disk writes are atomic (write to a temp file, then rename),
+    so concurrent sharded workers sharing one ``cache_dir`` never observe
+    torn files; temp files orphaned by a worker that crashed mid-write,
+    and entries of the store's earlier ``.npz`` format, are swept the
     next time a cache opens the directory.
 
     ``max_bytes`` bounds each tier independently: the memory dictionary
-    evicts least-recently-used entries past the bound, and the ``.npz``
+    evicts least-recently-used entries past the bound, and the frame
     store deletes its oldest files (disk hits refresh a file's age) so
     the directory never outgrows the configured size.  The entry being
     served or written is never evicted, so a single oversized result
     still works — the bound is a steady-state ceiling, not a hard
     admission limit.
+
+    The slow tier is never touched under the lock: a lookup probes
+    memory under it, releases it to read the disk (or, in
+    :class:`~repro.service.RemoteSweepCache`, the daemon), and re-takes
+    it only to insert the entry and count the hit.  A disk read or write
+    that fails with an ``OSError`` is counted in ``disk_errors`` and the
+    request is served from memory (or recomputed) instead of failing.
     """
+
+    #: File name suffix of one disk-tier entry, ``<key>.frame``.
+    ENTRY_SUFFIX = ".frame"
 
     def __init__(
         self,
@@ -307,12 +338,15 @@ class SweepCache:
         self.max_bytes = max_bytes
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-            self._sweep_orphaned_tmp_files()
+            self._sweep_debris(self.cache_dir)
         self._memory: OrderedDict[str, dict[str, np.ndarray]] = OrderedDict()  # guarded-by: _lock
+        #: Running sum of the memory tier's array bytes.
+        self._memory_bytes = 0  # guarded-by: _lock
         # Tier mutations are serialized so threaded consumers (the sweep
         # service handles each HTTP request on its own thread) see
-        # consistent LRU order and stats.  Computes never run under the
-        # lock — get_or_compute only locks the lookup and the store.
+        # consistent LRU order and stats.  Neither computes nor disk and
+        # remote IO run under the lock — it covers only the memory probe,
+        # inserts, evictions and counters.
         self._lock = threading.RLock()
         self.stats = CacheStats()  # guarded-by: _lock
 
@@ -321,26 +355,33 @@ class SweepCache:
     def _disk_path(self, key: str) -> Path | None:
         if self.cache_dir is None:
             return None
-        return self.cache_dir / f"{key}.npz"
+        return self.cache_dir / f"{key}{self.ENTRY_SUFFIX}"
 
-    def _sweep_orphaned_tmp_files(self) -> int:
-        """Remove crash debris (stale ``*.npz.tmp*`` files) from the dir.
+    @staticmethod
+    def _sweep_debris(directory: Path) -> int:
+        """Remove files no lookup will ever read from the directory.
 
-        A worker killed between ``mkstemp`` and ``os.replace`` leaves
-        its temp file behind forever; they are never read (lookups only
-        open ``<key>.npz``) but would accumulate unbounded.  Fresh temp
-        files are left alone — they may belong to a live writer in
+        Two kinds, found in one directory scan: temp files a worker
+        killed between ``mkstemp`` and ``os.replace`` left behind, which
+        would otherwise accumulate forever, and ``<key>.npz`` entries of
+        the store's earlier format, which nothing reads and which disk
+        eviction (it counts ``*.frame`` files) would never trim.  Fresh
+        temp files are left alone — they may belong to a live writer in
         another process.
         """
         removed = 0
         cutoff = time.time() - ORPHAN_TMP_MAX_AGE_S
-        for path in self.cache_dir.glob("*.npz.tmp*"):
-            try:
-                if path.stat().st_mtime < cutoff:
-                    path.unlink()
-                    removed += 1
-            except OSError:
-                continue  # raced with another sweeper or a live writer
+        with os.scandir(directory) as scan:
+            for entry in scan:
+                legacy = _LEGACY_ENTRY.fullmatch(entry.name) is not None
+                if not legacy and _TMP_FILE.search(entry.name) is None:
+                    continue
+                try:
+                    if legacy or entry.stat().st_mtime < cutoff:
+                        os.unlink(entry.path)
+                        removed += 1
+                except OSError:
+                    continue  # raced with another sweeper or a live writer
         return removed
 
     @staticmethod
@@ -360,6 +401,15 @@ class SweepCache:
     def _entry_nbytes(arrays: Mapping[str, np.ndarray]) -> int:
         return sum(a.nbytes for a in arrays.values())
 
+    def _insert(self, key: str, value: dict[str, np.ndarray]) -> None:  # requires-lock: _lock
+        """Put ``value`` at the most-recent end of the memory tier, then evict."""
+        old = self._memory.pop(key, None)
+        if old is not None:
+            self._memory_bytes -= self._entry_nbytes(old)
+        self._memory[key] = value
+        self._memory_bytes += self._entry_nbytes(value)
+        self._evict_memory(protect=key)
+
     def _evict_memory(self, protect: str) -> None:  # requires-lock: _lock
         """Drop least-recently-used memory entries past ``max_bytes``.
 
@@ -369,18 +419,21 @@ class SweepCache:
         """
         if self.max_bytes is None:
             return
-        total = sum(self._entry_nbytes(v) for v in self._memory.values())
-        while total > self.max_bytes and len(self._memory) > 1:
+        while self._memory_bytes > self.max_bytes and len(self._memory) > 1:
             key = next(iter(self._memory))
             if key == protect:
                 # LRU order puts the protected key first only when it is
                 # the sole survivor-to-be; stop rather than rotate.
                 break
-            total -= self._entry_nbytes(self._memory.pop(key))
+            self._memory_bytes -= self._entry_nbytes(self._memory.pop(key))
             self.stats.memory_evictions += 1
 
+    def _count_disk_error(self) -> None:
+        with self._lock:
+            self.stats.disk_errors += 1
+
     def _evict_disk(self, protect: str) -> None:
-        """Delete oldest ``.npz`` files until the store fits ``max_bytes``.
+        """Delete oldest entry files until the store fits ``max_bytes``.
 
         Ages come from mtimes, which disk hits refresh — so the policy
         is LRU, not FIFO.  Another process may race the unlink; a
@@ -389,14 +442,14 @@ class SweepCache:
         if self.max_bytes is None or self.cache_dir is None:
             return
         entries = []
-        for path in self.cache_dir.glob("*.npz"):
+        for path in self.cache_dir.glob(f"*{self.ENTRY_SUFFIX}"):
             try:
                 st = path.stat()
             except OSError:
                 continue
             entries.append((st.st_mtime, st.st_size, path))
         total = sum(size for _, size, _ in entries)
-        protected = f"{protect}.npz"
+        protected = f"{protect}{self.ENTRY_SUFFIX}"
         for _, size, path in sorted(entries):
             if total <= self.max_bytes:
                 break
@@ -415,44 +468,64 @@ class SweepCache:
     def _disk_fetch(self, key: str) -> dict[str, np.ndarray] | None:
         """Read one entry from the slow tier, or ``None``.
 
-        A truncated or garbage file — a crashed writer on a filesystem
-        without atomic rename, manual tampering — is a *miss*, not a
-        crash: the bad file is discarded so the recompute can rewrite
-        it.  Remote tiers (the sweep service's client cache) override
-        this pair of hooks.
+        Called without the lock held.  A truncated or garbage file — a
+        crashed writer on a filesystem without atomic rename, manual
+        tampering — fails the frame's magic, length, dtype or
+        trailing-byte checks and is a *miss*, not a crash: the bad file
+        is discarded so the recompute can rewrite it.  A file that
+        cannot be read at all (permissions, IO error) is a counted miss
+        and is left in place.  Remote tiers (the sweep service's client
+        cache) override this pair of hooks.
         """
         path = self._disk_path(key)
-        if path is None or not path.exists():
+        if path is None:
             return None
         try:
-            with np.load(path, allow_pickle=False) as npz:
-                arrays = {name: npz[name] for name in npz.files}
-        except Exception:
-            # Corrupt entry: drop it and treat the lookup as a miss.
-            try:
-                path.unlink()
-            except OSError:
-                pass
+            with open(path, "rb") as fh:
+                body = fh.read()
+        except FileNotFoundError:
             return None
-        try:
-            os.utime(path)  # refresh LRU age; hot entries survive eviction
         except OSError:
-            pass
+            self._count_disk_error()
+            return None
+        try:
+            arrays, _meta = decode_frame(body)
+        except FrameError:
+            # Corrupt entry: drop it and treat the lookup as a miss.
+            with contextlib.suppress(OSError):
+                path.unlink()
+            return None
+        with contextlib.suppress(OSError):
+            os.utime(path)  # refresh LRU age; hot entries survive eviction
         return arrays
 
     def _disk_put(self, key: str, value: Mapping[str, np.ndarray]) -> None:
+        """Write one entry to the slow tier; called without the lock held.
+
+        A write that fails with an ``OSError`` (disk full, permissions)
+        leaves no file behind and is counted, not raised: the entry is
+        already in memory and the request that computed it still
+        succeeds.
+        """
         if self.cache_dir is None:
             return
         path = self._disk_path(key)
-        fd, tmp = tempfile.mkstemp(dir=str(self.cache_dir), suffix=".npz.tmp")
+        chunks = encode_frame(value)
         try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, **value)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+            fd, tmp = tempfile.mkstemp(
+                dir=str(self.cache_dir), suffix=f"{self.ENTRY_SUFFIX}.tmp"
+            )
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    fh.writelines(chunks)
+                os.replace(tmp, path)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
+        except OSError:
+            self._count_disk_error()
+            return
         self._evict_disk(protect=key)
 
     # ------------------------------------------------------------ public API
@@ -476,15 +549,20 @@ class SweepCache:
                 self._memory.move_to_end(key)
                 self.stats.memory_hits += 1
                 return hit, "memory"
-            arrays = self._disk_fetch(key)
-            if arrays is not None:
-                value = self._freeze(arrays)
-                self._memory[key] = value
-                self._evict_memory(protect=key)
-                self.stats.disk_hits += 1
-                return value, "disk"
-            self.stats.misses += 1
+        # The slow tier (a file read, or the remote daemon's GET) runs
+        # outside the lock so memory hits on other threads never queue
+        # behind it.  Two threads missing one key may both read it; the
+        # later insert replaces the earlier with equal arrays.
+        arrays = self._disk_fetch(key)
+        if arrays is None:
+            with self._lock:
+                self.stats.misses += 1
             return None, None
+        value = self._freeze(arrays)
+        with self._lock:
+            self._insert(key, value)
+            self.stats.disk_hits += 1
+        return value, "disk"
 
     def store(
         self, key: str, arrays: Mapping[str, np.ndarray]
@@ -500,10 +578,8 @@ class SweepCache:
             {name: np.array(a, copy=True) for name, a in arrays.items()}
         )
         with self._lock:
-            self._memory[key] = value
-            self._memory.move_to_end(key)
-            self._evict_memory(protect=key)
-        # The slow tier (atomic .npz write + eviction scan, or the
+            self._insert(key, value)
+        # The slow tier (atomic frame write + eviction scan, or the
         # remote daemon round trip) runs outside the lock so concurrent
         # memory-tier hits in a threaded server never stall behind IO.
         self._disk_put(key, value)

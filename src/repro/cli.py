@@ -913,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8733, help="0 picks an ephemeral port"
     )
     serve.add_argument(
-        "--cache-dir", type=Path, default=None, help="shared .npz store directory"
+        "--cache-dir", type=Path, default=None, help="shared frame-file store directory"
     )
     serve.add_argument(
         "--max-cache-mb",

@@ -205,7 +205,7 @@ class ServiceCore:
     Parameters
     ----------
     cache_dir, max_cache_mb:
-        The shared store: optional ``.npz`` directory and the per-tier
+        The shared store: optional frame-file directory and the per-tier
         LRU bound (MiB) — both forwarded to :class:`SweepCache`.
     jobs:
         Worker processes for sharding large micro-batched axes; 1 keeps

@@ -1,6 +1,9 @@
 """The content-addressed sweep cache: keys, levels, stats, correctness."""
 
+import builtins
+import errno
 import os
+import threading
 import time
 
 import numpy as np
@@ -18,6 +21,7 @@ from repro.batch import (
     optimal_allocation_curve,
     run_sweep,
 )
+from repro.batch.frame import frame_bytes
 from repro.errors import InvalidParameterError
 from repro.machines.bus import AsynchronousBus, SynchronousBus
 from repro.machines.catalog import PAPER_BUS, PAPER_BUS_ASYNC
@@ -25,6 +29,7 @@ from repro.stencils.library import FIVE_POINT, NINE_POINT_BOX
 from repro.stencils.perimeter import PartitionKind
 
 SQUARE = PartitionKind.SQUARE
+SUFFIX = SweepCache.ENTRY_SUFFIX
 SIDES = list(range(64, 512, 16))
 
 
@@ -101,7 +106,7 @@ class TestSweepCacheLevels:
         )
         assert warm.stats.disk_hits == 1 and warm.stats.misses == 0
         np.testing.assert_array_equal(c1.cycle_time, c2.cycle_time)
-        assert c1.regime == c2.regime  # string arrays survive the .npz round trip
+        assert c1.regime == c2.regime  # string arrays survive the frame round trip
 
     def test_memory_only_cache(self):
         cache = SweepCache()  # no directory at all
@@ -113,6 +118,7 @@ class TestSweepCacheLevels:
             "misses": 1,
             "memory_evictions": 0,
             "disk_evictions": 0,
+            "disk_errors": 0,
             # Each eager call plans a one-node graph; the repeat is a
             # memory hit, so only the first ran the numpy executor.
             "nodes_planned": 2,
@@ -210,25 +216,25 @@ class TestBoundedLRU:
         cache = SweepCache(tmp_path, max_bytes=bound)
         for i in range(12):
             cache.store(f"{i:064d}".replace("0", "a", 1), _entry(float(i)))
-        sizes = sum(p.stat().st_size for p in tmp_path.glob("*.npz"))
+        sizes = sum(p.stat().st_size for p in tmp_path.glob(f"*{SUFFIX}"))
         assert sizes <= bound
         assert cache.stats.disk_evictions > 0
         # The newest entry always survives.
-        survivors = {p.stem for p in tmp_path.glob("*.npz")}
+        survivors = {p.stem for p in tmp_path.glob(f"*{SUFFIX}")}
         assert f"{11:064d}".replace("0", "a", 1) in survivors
 
     def test_disk_hit_refreshes_lru_age(self, tmp_path):
-        # Entries are 1280 bytes on disk; the bound fits three of them.
-        bound = 3 * 1280 + 100
+        # The bound fits three entries on disk, not four.
+        bound = 3 * len(frame_bytes(_entry(0.0))) + 100
         cache = SweepCache(tmp_path, max_bytes=bound)
         keys = ["a" * 64, "b" * 64, "c" * 64]
         for i, key in enumerate(keys):
             cache.store(key, _entry(float(i)))
-            os.utime(tmp_path / f"{key}.npz", (time.time() - 100 + i, time.time() - 100 + i))
+            os.utime(tmp_path / f"{key}{SUFFIX}", (time.time() - 100 + i, time.time() - 100 + i))
         fresh = SweepCache(tmp_path, max_bytes=bound)
         assert fresh.lookup("a" * 64) is not None  # refreshes a's mtime
         fresh.store("d" * 64, _entry(9.0))  # must evict the oldest: b
-        names = {p.stem for p in tmp_path.glob("*.npz")}
+        names = {p.stem for p in tmp_path.glob(f"*{SUFFIX}")}
         assert "a" * 64 in names and "b" * 64 not in names
 
     def test_invalid_bound_rejected(self):
@@ -266,14 +272,137 @@ class TestOrphanedTempFiles:
         np.testing.assert_array_equal(served.speedup, direct.speedup)
 
 
+class TestDirectoryDebris:
+    """One scan on open removes files no lookup will ever read."""
+
+    def test_stale_frame_tmp_files_swept_on_open(self, tmp_path):
+        stale = tmp_path / f"tmpabc123{SUFFIX}.tmp"
+        stale.write_bytes(b"crash debris")
+        old = time.time() - 7200
+        os.utime(stale, (old, old))
+        fresh = tmp_path / f"tmpdef456{SUFFIX}.tmp"
+        fresh.write_bytes(b"another process, mid-write")
+        SweepCache(tmp_path)
+        assert not stale.exists()
+        assert fresh.exists()
+
+    def test_legacy_npz_entries_removed_on_open(self, tmp_path):
+        legacy = tmp_path / ("a" * 64 + ".npz")
+        np.savez(legacy, x=np.arange(3.0))
+        unrelated = tmp_path / "notes.npz"
+        unrelated.write_bytes(b"not an entry")
+        cache = SweepCache(tmp_path)
+        assert not legacy.exists()
+        assert unrelated.exists()
+        # Nothing reads the old format: the key is a plain miss.
+        assert cache.lookup("a" * 64) is None
+
+    def test_entries_are_frames(self, tmp_path):
+        from repro.batch.frame import decode_frame
+
+        cache = SweepCache(tmp_path)
+        curve = optimal_allocation_curve(
+            PAPER_BUS, FIVE_POINT, SQUARE, SIDES, integer=True, cache=cache
+        )
+        (path,) = tmp_path.glob(f"*{SUFFIX}")
+        arrays, _meta = decode_frame(path.read_bytes())
+        np.testing.assert_array_equal(arrays["speedup"], curve.speedup)
+        assert arrays["regime"].dtype.kind == "U"
+        assert tuple(arrays["regime"].tolist()) == tuple(curve.regime)
+
+
+class TestDiskIOFailure:
+    """A disk tier that fails with OSError degrades; it never fails a request."""
+
+    @staticmethod
+    def _enospc(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def test_failed_write_serves_from_memory(self, tmp_path, monkeypatch):
+        cache = SweepCache(tmp_path)
+        monkeypatch.setattr(os, "replace", self._enospc)
+        value = cache.store("a" * 64, _entry(1.0))
+        np.testing.assert_array_equal(value["x"], _entry(1.0)["x"])
+        assert cache.stats.disk_errors == 1
+        assert list(tmp_path.iterdir()) == []  # no entry, no orphaned temp file
+        arrays, level = cache.lookup_level("a" * 64)
+        assert level == "memory"
+        np.testing.assert_array_equal(arrays["x"], value["x"])
+
+    def test_failed_write_does_not_fail_a_computed_request(self, tmp_path, monkeypatch):
+        cache = SweepCache(tmp_path)
+        monkeypatch.setattr(os, "replace", self._enospc)
+        served = optimal_allocation_curve(
+            PAPER_BUS, FIVE_POINT, SQUARE, SIDES, integer=True, cache=cache
+        )
+        direct = optimal_allocation_curve(PAPER_BUS, FIVE_POINT, SQUARE, SIDES, integer=True)
+        np.testing.assert_array_equal(served.speedup, direct.speedup)
+        assert cache.stats.snapshot()["disk_errors"] == 1
+
+    def test_failed_read_is_a_counted_miss_and_keeps_the_file(self, tmp_path, monkeypatch):
+        SweepCache(tmp_path).store("b" * 64, _entry(2.0))
+        (path,) = tmp_path.glob(f"*{SUFFIX}")
+        real_open = builtins.open
+
+        def failing_open(file, *args, **kwargs):
+            if str(file).startswith(str(tmp_path)):
+                self._enospc()
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", failing_open)
+        cache = SweepCache(tmp_path)
+        assert cache.lookup("b" * 64) is None
+        assert cache.stats.misses == 1 and cache.stats.disk_errors == 1
+        assert path.exists()  # an unreadable file is not proven corrupt
+        monkeypatch.undo()
+        assert cache.lookup("b" * 64) is not None
+
+    def test_missing_file_is_a_plain_miss(self, tmp_path):
+        cache = SweepCache(tmp_path)
+        assert cache.lookup("c" * 64) is None
+        assert cache.stats.misses == 1 and cache.stats.disk_errors == 0
+
+
+class TestLockNotHeldForDiskIO:
+    def test_memory_hit_does_not_wait_for_a_parked_disk_read(self):
+        class ParkedDisk(SweepCache):
+            def __init__(self) -> None:
+                super().__init__()
+                self.entered = threading.Event()
+                self.release = threading.Event()
+
+            def _disk_fetch(self, key):
+                self.entered.set()
+                self.release.wait(timeout=10)
+                return None
+
+        cache = ParkedDisk()
+        cache.store("a" * 64, _entry(1.0))
+        parked = threading.Thread(target=cache.lookup, args=("b" * 64,))
+        parked.start()
+        try:
+            assert cache.entered.wait(timeout=5)
+            answers = []
+            hit = threading.Thread(target=lambda: answers.append(cache.lookup("a" * 64)))
+            hit.start()
+            hit.join(timeout=1.0)
+            assert not hit.is_alive(), "memory hit waited behind the disk read"
+            assert answers and answers[0] is not None
+        finally:
+            cache.release.set()
+            parked.join(timeout=10)
+        assert not parked.is_alive()
+        assert cache.stats.memory_hits == 1 and cache.stats.misses == 1
+
+
 class TestCorruptedEntries:
     def _poison(self, tmp_path) -> SweepCache:
-        """Warm the store, then corrupt every .npz on disk."""
+        """Warm the store, then corrupt every entry on disk."""
         cold = SweepCache(tmp_path)
         optimal_allocation_curve(
             PAPER_BUS, FIVE_POINT, SQUARE, SIDES, integer=True, cache=cold
         )
-        for path in tmp_path.glob("*.npz"):
+        for path in tmp_path.glob(f"*{SUFFIX}"):
             path.write_bytes(path.read_bytes()[: max(8, path.stat().st_size // 3)])
         return cold
 
@@ -297,8 +426,8 @@ class TestCorruptedEntries:
 
     def test_garbage_bytes_are_a_miss(self, tmp_path):
         cache = SweepCache(tmp_path)
-        bad = tmp_path / ("e" * 64 + ".npz")
-        bad.write_bytes(b"not a zip archive at all")
+        bad = tmp_path / ("e" * 64 + SUFFIX)
+        bad.write_bytes(b"not a frame at all")
         assert cache.lookup("e" * 64) is None
         assert cache.stats.misses == 1
         assert not bad.exists()  # dropped so the recompute can rewrite
@@ -358,13 +487,16 @@ class TestClosedFormDedup:
 
 class TestCacheStatsMerge:
     def test_merge_adds_worker_counts(self):
-        mine = CacheStats(memory_hits=1, misses=2)
-        worker = CacheStats(memory_hits=3, disk_hits=4, misses=5, disk_evictions=6)
+        mine = CacheStats(memory_hits=1, misses=2, disk_errors=1)
+        worker = CacheStats(
+            memory_hits=3, disk_hits=4, misses=5, disk_evictions=6, disk_errors=2
+        )
         mine.merge(worker)
         assert mine.memory_hits == 4
         assert mine.disk_hits == 4
         assert mine.misses == 7
         assert mine.disk_evictions == 6
+        assert mine.disk_errors == 3
 
     def test_merge_accepts_snapshots(self):
         mine = CacheStats()
@@ -374,6 +506,10 @@ class TestCacheStatsMerge:
     def test_describe_mentions_evictions(self):
         stats = CacheStats(memory_hits=1, memory_evictions=2)
         assert "2 evictions" in stats.describe()
+
+    def test_describe_mentions_disk_errors(self):
+        assert "disk errors" not in CacheStats(memory_hits=1).describe()
+        assert "3 disk errors" in CacheStats(memory_hits=1, disk_errors=3).describe()
 
 
 class TestDefaultCache:

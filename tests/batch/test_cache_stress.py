@@ -8,6 +8,7 @@ guards structurally.
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,11 +27,24 @@ def _payload(i: int) -> dict[str, np.ndarray]:
     return {"data": np.full(1024, float(i)), "tag": np.array([i], dtype=np.int64)}
 
 
+def _assert_byte_total_exact(cache: SweepCache) -> None:
+    """The running memory-tier byte total equals a fresh re-sum."""
+    with cache._lock:
+        actual = sum(a.nbytes for v in cache._memory.values() for a in v.values())
+        assert cache._memory_bytes == actual
+        if cache.max_bytes is not None and len(cache._memory) > 1:
+            assert cache._memory_bytes <= cache.max_bytes
+
+
 class TestThreadedSweepCache:
-    def test_concurrent_hits_misses_and_evictions_stay_consistent(self):
+    @pytest.mark.parametrize("disk", [False, True], ids=["memory", "memory+disk"])
+    def test_concurrent_hits_misses_and_evictions_stay_consistent(self, disk, tmp_path):
         # Bound small enough that the working set (~50 entries) churns
-        # the LRU constantly.
-        cache = SweepCache(max_bytes=20 * 8 * 1024)
+        # the LRU constantly.  With a disk tier, evicted entries come
+        # back as disk hits read outside the lock, racing the inserts.
+        cache = SweepCache(tmp_path if disk else None, max_bytes=20 * 8 * 1024)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         errors: list[str] = []
         barrier = threading.Barrier(THREADS)
 
@@ -49,8 +63,11 @@ class TestThreadedSweepCache:
                 errors.append(f"entry {i} handed out writeable")  # pragma: no cover
             return served
 
-        with ThreadPoolExecutor(max_workers=THREADS) as pool:
-            served = sum(pool.map(worker, range(THREADS)))
+        try:
+            with ThreadPoolExecutor(max_workers=THREADS) as pool:
+                served = sum(pool.map(worker, range(THREADS)))
+        finally:
+            sys.setswitchinterval(interval)
 
         assert errors == []
         assert served == THREADS * ROUNDS
@@ -61,6 +78,9 @@ class TestThreadedSweepCache:
         # unlocked stats read allows.
         assert hits + snapshot["misses"] == served
         assert snapshot["memory_evictions"] > 0, "bound never engaged"
+        if disk:
+            assert snapshot["disk_hits"] > 0, "disk tier never served"
+        _assert_byte_total_exact(cache)
 
     def test_concurrent_identical_requests_each_get_valid_data(self):
         cache = SweepCache()
@@ -121,3 +141,4 @@ class TestThreadedSweepCache:
         # Steady state respects the bound: at most the protected entry
         # may exceed it transiently.
         assert len(cache) <= 30
+        _assert_byte_total_exact(cache)

@@ -107,7 +107,7 @@ class TestShardedAllocationArrays:
             sharded_allocation_arrays(PAPER_BUS, FIVE_POINT, SQUARE, SIDES, jobs=2)
         finally:
             clear_default_cache()
-        assert len(list(tmp_path.glob("*.npz"))) == 0
+        assert len(list(tmp_path.glob(f"*{SweepCache.ENTRY_SUFFIX}"))) == 0
         assert cache.stats.requests == 0
 
 
@@ -117,8 +117,8 @@ class TestShardedCorruption:
         first = sharded_allocation_curve(
             PAPER_BUS, FIVE_POINT, SQUARE, SIDES, jobs=2, cache=cache
         )
-        for path in tmp_path.glob("*.npz"):
-            path.write_bytes(b"torn write: not an archive")
+        for path in tmp_path.glob(f"*{SweepCache.ENTRY_SUFFIX}"):
+            path.write_bytes(b"torn write: not a frame")
         fresh = SweepCache(tmp_path)
         again = sharded_allocation_curve(
             PAPER_BUS, FIVE_POINT, SQUARE, SIDES, jobs=2, cache=fresh

@@ -246,12 +246,12 @@ class TestGracefulShutdown:
         client = ServiceClient(server.url)
         client.allocation_curve("paper-bus", "5-point", "square", SIDES)
         client.close()
-        written = list(tmp_path.glob("*.npz"))
+        written = list(tmp_path.glob(f"*{SweepCache.ENTRY_SUFFIX}"))
         assert written  # store() wrote through at compute time
         for path in written:
             path.unlink()  # simulate a lost disk tier
         server.shutdown()
-        assert list(tmp_path.glob("*.npz"))  # close() flushed them back
+        assert list(tmp_path.glob(f"*{SweepCache.ENTRY_SUFFIX}"))  # close() flushed them back
 
 
 class TestSweepCacheFlush:
@@ -260,7 +260,7 @@ class TestSweepCacheFlush:
         cache.store("a" * 64, {"x": np.arange(3.0)})
         cache.store("b" * 64, {"y": np.arange(4.0)})
         assert cache.flush() == 0  # store() already wrote through
-        (tmp_path / ("a" * 64 + ".npz")).unlink()
+        (tmp_path / ("a" * 64 + SweepCache.ENTRY_SUFFIX)).unlink()
         assert cache.flush() == 1
         arrays, level = cache.lookup_level("a" * 64)
         assert level == "memory"

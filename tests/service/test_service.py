@@ -1,12 +1,14 @@
 """The sweep service: wire fidelity, coalescing, batching, bounds."""
 
+import errno
+import os
 import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.batch import optimal_allocation_curve, run_sweep, SweepSpec
+from repro.batch import SweepCache, optimal_allocation_curve, run_sweep, SweepSpec
 from repro.machines.catalog import DEFAULT_MACHINES, FLEX32, PAPER_BUS
 from repro.service import (
     AsyncSweepServer,
@@ -402,16 +404,35 @@ class TestSharedStoreTier:
         assert second.stats.snapshot()["misses"] == 0
 
 
+class TestDiskFailureDegrades:
+    def test_full_disk_still_answers_and_counts_the_error(self, tmp_path, monkeypatch):
+        def enospc(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with SweepServer(port=0, cache_dir=str(tmp_path), batch_window_s=0.0) as srv:
+            c = ServiceClient(srv.url)
+            monkeypatch.setattr(os, "replace", enospc)
+            curve = c.allocation_curve("paper-bus", "5-point", "square", SIDES)
+            direct = optimal_allocation_curve(PAPER_BUS, FIVE_POINT, SQUARE, SIDES)
+            np.testing.assert_array_equal(curve.speedup, direct.speedup)
+            assert c.stats()["cache"]["disk_errors"] == 1
+            again = c.allocation_curve("paper-bus", "5-point", "square", SIDES)
+            np.testing.assert_array_equal(again.speedup, direct.speedup)
+            c.close()
+
+
 class TestBoundedServerCache:
     def test_eviction_keeps_store_under_bound(self, tmp_path):
-        bound_mb = 0.004  # ~4 KiB: one ~2.4 KiB allocation entry, never two
+        bound_mb = 0.0015  # ~1.5 KiB: one ~1.1 KiB allocation entry, never two
         with SweepServer(port=0, cache_dir=str(tmp_path), max_cache_mb=bound_mb) as srv:
             c = ServiceClient(srv.url)
             for lo in (64, 128, 256, 512):
                 c.allocation_curve(
                     "paper-bus", "5-point", "square", list(range(lo, lo + 8))
                 )
-            total = sum(p.stat().st_size for p in tmp_path.glob("*.npz"))
+            entries = list(tmp_path.glob(f"*{SweepCache.ENTRY_SUFFIX}"))
+            assert entries, "nothing was stored: the bound check would be vacuous"
+            total = sum(p.stat().st_size for p in entries)
             assert total <= int(bound_mb * 2**20)
             assert c.stats()["cache"]["disk_evictions"] > 0
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.batch import SweepCache
 from repro.cli import build_parser, main
 
 
@@ -541,7 +542,9 @@ class TestServerRouting:
                 == 0
             )
         capsys.readouterr()
-        total = sum(p.stat().st_size for p in cache_dir.glob("*.npz"))
+        entries = list(cache_dir.glob(f"*{SweepCache.ENTRY_SUFFIX}"))
+        assert entries, "nothing was stored: the bound check would be vacuous"
+        total = sum(p.stat().st_size for p in entries)
         assert total <= int(0.004 * 2**20)
 
 
