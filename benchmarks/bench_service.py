@@ -1,6 +1,6 @@
 """BENCH-SERVICE: both serve backends — latency, pipelining, connections.
 
-Five measurements, recorded to ``results/BENCH_service.json`` so the
+Six measurements, recorded to ``results/BENCH_service.json`` so the
 serving layer's behavior is tracked across PRs:
 
 * **server vs direct latency, per backend** — a warm allocation-curve
@@ -11,6 +11,13 @@ serving layer's behavior is tracked across PRs:
   timed.  **Gate (both backends):** the warm hit's wire overhead
   (server minus direct) must be at most ``MAX_WIRE_OVERHEAD_RATIO``
   times the direct cost — the protocol may not dominate the compute.
+* **cold latency (asyncio)** — a lone cold 500-point allocation
+  request through the daemon versus the same curve computed directly
+  by ``optimal_allocation_curve``, each repeat on a fresh axis so the
+  daemon misses every time.  A warm-up, then ``COLD_REPEATS``
+  interleaved pairs; medians and quartiles are recorded.  **Gate:**
+  the median served/direct ratio must be at most
+  ``MAX_COLD_RATIO`` — a cold request pays no fixed batching wait.
 * **pipelined throughput, per backend** — warm hits issued through
   ``compute_many(pipeline=16)`` versus the same count sequentially
   over one keep-alive connection.  **Gate (asyncio):**
@@ -76,6 +83,13 @@ MAX_WIRE_OVERHEAD_RATIO = 2.0
 #: Pipelined warm hits must beat one-at-a-time keep-alive requests by
 #: at least this factor on the asyncio backend.
 MIN_PIPELINE_SPEEDUP = 1.5
+
+#: A lone cold request through the asyncio daemon may cost at most this
+#: multiple of computing the curve directly.  With a fixed 5 ms batching
+#: window it was ~5x.
+MAX_COLD_RATIO = 2.5
+COLD_WARMUP = 3
+COLD_REPEATS = 31
 
 BACKENDS = {"thread": SweepServer, "asyncio": AsyncSweepServer}
 
@@ -153,6 +167,60 @@ def bench_latency(server) -> dict:
         "wire_overhead_ratio": (server_s - direct_s) / direct_s,
         "warm_ratio": server_s / direct_s,
         "last_served": client.last_served,
+    }
+
+
+def _quartiles(samples: list[float]) -> dict:
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3)}
+
+
+def bench_cold(server) -> dict:
+    """A lone cold request through the daemon vs a direct computation.
+
+    Every round uses a fresh axis (the 500-point latency axis shifted
+    by one), so the daemon misses its cache each time and the direct
+    call, which has no cache, computes the same curve.  The two arms
+    alternate which goes first; each served curve is checked bit-equal
+    to its direct twin outside the timed region.
+    """
+    client = ServiceClient(server.url)
+    kind = PartitionKind.SQUARE
+    served_s: list[float] = []
+    direct_s: list[float] = []
+    labels: set[str] = set()
+    for i in range(COLD_WARMUP + COLD_REPEATS):
+        axis = [n + 1 + i for n in SIDES]
+        timings = {}
+        for arm in (("served", "direct") if i % 2 else ("direct", "served")):
+            start = time.perf_counter()
+            if arm == "served":
+                curve = client.allocation_curve(
+                    "paper-bus", "5-point", "square", axis, integer=True
+                )
+            else:
+                direct = optimal_allocation_curve(
+                    PAPER_BUS, FIVE_POINT, kind, axis, integer=True
+                )
+            timings[arm] = time.perf_counter() - start
+        for name, value in direct.to_arrays().items():
+            np.testing.assert_array_equal(curve.to_arrays()[name], value)
+        if i >= COLD_WARMUP:
+            served_s.append(timings["served"])
+            direct_s.append(timings["direct"])
+            labels.add(str(client.last_served))
+    client.close()
+    served = _quartiles(served_s)
+    direct_q = _quartiles(direct_s)
+    return {
+        "backend": server.backend,
+        "points": len(SIDES),
+        "warmup": COLD_WARMUP,
+        "repeats": COLD_REPEATS,
+        "served_seconds": served,
+        "direct_seconds": direct_q,
+        "cold_ratio": served["median"] / direct_q["median"],
+        "served_labels": sorted(labels),
     }
 
 
@@ -313,6 +381,8 @@ def run_bench(output_path: Path | None = None) -> dict:
         with _make_server(backend) as server:
             latency[backend] = bench_latency(server)
             pipelining[backend] = bench_pipelining(server)
+            if backend == "asyncio":
+                cold = bench_cold(server)
     connections = bench_connections()
     with SweepServer(port=0) as server:
         throughput = bench_throughput(server)
@@ -321,11 +391,13 @@ def run_bench(output_path: Path | None = None) -> dict:
         "bench": "service",
         "latency": latency,
         "pipelining": pipelining,
+        "cold": cold,
         "connections": connections,
         "throughput": throughput,
         "dedup": dedup,
         "min_dedup_ratio": MIN_DEDUP_RATIO,
         "max_wire_overhead_ratio": MAX_WIRE_OVERHEAD_RATIO,
+        "max_cold_ratio": MAX_COLD_RATIO,
         "min_pipeline_speedup": MIN_PIPELINE_SPEEDUP,
         "connection_target": CONNECTION_TARGET,
     }
@@ -349,6 +421,14 @@ def _check_gates(payload: dict) -> list[str]:
                 f"{backend}: wire overhead {latency['wire_overhead_ratio']:.2f}x "
                 f"direct exceeds {MAX_WIRE_OVERHEAD_RATIO}x"
             )
+    cold = payload["cold"]
+    if cold["served_labels"] != ["computed"]:
+        failures.append(f"cold requests were served as {cold['served_labels']}")
+    if cold["cold_ratio"] > MAX_COLD_RATIO:
+        failures.append(
+            f"asyncio: cold request {cold['cold_ratio']:.2f}x direct "
+            f"exceeds {MAX_COLD_RATIO}x"
+        )
     pipe = payload["pipelining"]["asyncio"]
     if pipe["speedup"] < MIN_PIPELINE_SPEEDUP:
         failures.append(
@@ -409,6 +489,12 @@ if __name__ == "__main__":
             f"pipelined {pipe['pipelined_rps']:.0f} req/s vs sequential "
             f"{pipe['sequential_rps']:.0f} req/s ({pipe['speedup']:.2f}x)"
         )
+    cold = report["cold"]
+    print(
+        f"asyncio cold: {cold['served_seconds']['median'] * 1e3:.2f} ms served vs "
+        f"{cold['direct_seconds']['median'] * 1e3:.2f} ms direct "
+        f"({cold['cold_ratio']:.2f}x)"
+    )
     conn = report["connections"]
     print(
         f"asyncio held {conn['concurrent_connections']} idle connections "

@@ -210,7 +210,7 @@ def main() -> None:
     # `python -m repro serve` runs this daemon standalone; here it runs
     # on a background thread with an ephemeral port.  Identical
     # concurrent requests coalesce onto one compute, compatible
-    # requests of any family micro-batch onto one planner-fused call, and
+    # requests of any family batch onto one planner-fused call, and
     # --max-cache-mb (max_cache_mb=) keeps the store LRU-bounded.
     # Responses are byte-identical to computing offline.
     from repro.service import ServiceClient, SweepServer

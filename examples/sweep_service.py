@@ -109,7 +109,7 @@ def pipelining() -> None:
     # The asyncio backend: same handlers, same bytes, but every socket
     # is owned by one event loop (thousands of idle connections cost
     # no threads) and pipelined requests are answered in order.
-    with AsyncSweepServer(port=0, batch_window_s=0.0) as server:
+    with AsyncSweepServer(port=0) as server:
         print(f"asyncio daemon: {server.url} "
               f"(backend: {ServiceClient(server.url).health()['backend']})")
         client = ServiceClient(server.url)

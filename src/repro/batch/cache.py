@@ -47,7 +47,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -128,7 +128,8 @@ def _canonical(obj: object) -> object:
     """A hashable, repr-stable view of a request component.
 
     Dataclasses (machines, stencils, specs) encode as their qualified
-    class name plus all field values; arrays as shape/dtype/content
+    class name plus all field values, memoized on frozen instances (see
+    :func:`_canonical_dataclass`); arrays as shape/dtype/content
     digest.  Two objects encode equal iff the model treats them as the
     same input — including bus presets that share a closed form (see
     :func:`_canonical_bus`).
@@ -141,14 +142,8 @@ def _canonical(obj: object) -> object:
             data.dtype.str,
             hashlib.sha256(data.tobytes()).hexdigest(),
         )
-    bus = _canonical_bus(obj)
-    if bus is not None:
-        return bus
     if is_dataclass(obj) and not isinstance(obj, type):
-        return (
-            type(obj).__qualname__,
-            tuple((f.name, _canonical(getattr(obj, f.name))) for f in fields(obj)),
-        )
+        return _canonical_dataclass(obj)
     if isinstance(obj, enum.Enum):
         return (type(obj).__qualname__, obj.value)
     if isinstance(obj, Mapping):
@@ -182,6 +177,40 @@ def _canonical(obj: object) -> object:
         "differs per process — give it a deterministic __repr__ or make "
         "it a dataclass"
     )
+
+
+#: Instance attribute holding a frozen dataclass's memoized encoding.
+#: It lives on the instance, not in a side table keyed by identity, so
+#: it dies with the object and ``dataclasses.replace`` (which builds a
+#: fresh instance from the fields) never inherits a stale one.
+_MEMO_ATTR = "_fingerprint_canonical"
+
+
+def _canonical_dataclass(obj: Any) -> object:
+    """Encoding of one dataclass instance, memoized when it is frozen.
+
+    Machines, stencils and specs are frozen dataclasses reused across
+    requests (catalog presets, library stencils), so their encoding is
+    computed once per instance and kept in its ``__dict__``.  A frozen
+    instance is a value: its fields cannot be rebound, and a mutable
+    container inside one (a stencil's weight mapping) is treated as
+    read-only, as its hash and equality already assume.
+    """
+    state = getattr(obj, "__dict__", None)
+    if state is not None:
+        memo = state.get(_MEMO_ATTR)
+        if memo is not None:
+            return memo
+    encoding = _canonical_bus(obj)
+    if encoding is None:
+        encoding = (
+            type(obj).__qualname__,
+            tuple((f.name, _canonical(getattr(obj, f.name))) for f in fields(obj)),
+        )
+    params = getattr(type(obj), "__dataclass_params__", None)
+    if state is not None and params is not None and params.frozen:
+        object.__setattr__(obj, _MEMO_ATTR, encoding)
+    return encoding
 
 
 def fingerprint(request: object) -> str:
@@ -533,6 +562,20 @@ class SweepCache:
     def lookup(self, key: str) -> dict[str, np.ndarray] | None:
         """Fetch by fingerprint, recording the hit level (or the miss)."""
         return self.lookup_level(key)[0]
+
+    def lookup_memory(self, key: str) -> dict[str, np.ndarray] | None:
+        """The memory tier alone: a hit is recorded, a miss is not.
+
+        For callers that must not block on the slow tier and fall back
+        to :meth:`lookup_level` (which records the miss) when this
+        returns ``None``.
+        """
+        with self._lock:
+            hit = self._memory.get(key)
+            if hit is not None:
+                self._memory.move_to_end(key)
+                self.stats.memory_hits += 1
+            return hit
 
     def lookup_level(
         self, key: str

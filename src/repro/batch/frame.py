@@ -34,6 +34,8 @@ preserved exactly, only the in-memory layout changes.
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import struct
 from typing import Any, Mapping
@@ -56,6 +58,9 @@ _LEN = struct.Struct("<I")
 #: A header longer than this is not a header — it is garbage or an
 #: attack; real headers are a few hundred bytes.
 _MAX_HEADER_BYTES = 16 * 2**20
+
+#: Distinct headers remembered by the encode and decode memos.
+_HEADER_MEMO = 256
 
 
 class FrameError(ReproError, ValueError):
@@ -93,29 +98,42 @@ def encode_frame(
     ``meta`` keys ride in the header next to ``"arrays"`` (the server
     puts ``status``/``served`` there).
     """
-    entries: list[dict[str, Any]] = []
-    chunks: list[bytes | memoryview] = []
+    layout: list[tuple[str, str, tuple[int, ...], int]] = []
+    chunks: list[bytes | memoryview] = [b""]
     for name, array in arrays.items():
         wire = _wire_array(np.asarray(array))
-        entries.append(
-            {
-                "name": str(name),
-                "dtype": wire.dtype.str,
-                "shape": list(wire.shape),
-                "nbytes": int(wire.nbytes),
-            }
-        )
+        layout.append((str(name), wire.dtype.str, wire.shape, int(wire.nbytes)))
         if wire.ndim == 0 or wire.nbytes == 0:
             # memoryview.cast cannot flatten 0-d or zero-size views;
             # both are at most one element, so the copy is free.
             chunks.append(wire.tobytes())
         else:
             chunks.append(memoryview(wire).cast("B"))
-    header: dict[str, Any] = dict(meta or {})
-    header["arrays"] = entries
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    chunks.insert(0, _MAGIC + _LEN.pack(len(header_bytes)) + header_bytes)
+    meta_items = tuple((meta or {}).items())
+    if all(type(k) is str and type(v) is str for k, v in meta_items):
+        chunks[0] = _head_chunk(meta_items, tuple(layout))
+    else:  # the memo keys on equality, which would conflate 1, 1.0 and True
+        chunks[0] = _head_chunk.__wrapped__(meta_items, tuple(layout))
     return chunks
+
+
+@functools.lru_cache(maxsize=_HEADER_MEMO)
+def _head_chunk(
+    meta_items: tuple[tuple[str, Any], ...],
+    layout: tuple[tuple[str, str, tuple[int, ...], int], ...],
+) -> bytes:
+    """Magic, length and header JSON for one array layout.
+
+    Memoized: a server answering the same entry, or a cache writing
+    entries of one shape, encodes the same header again and again.
+    """
+    header: dict[str, Any] = dict(meta_items)
+    header["arrays"] = [
+        {"name": name, "dtype": dtype, "shape": list(shape), "nbytes": nbytes}
+        for name, dtype, shape, nbytes in layout
+    ]
+    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return _MAGIC + _LEN.pack(len(header_bytes)) + header_bytes
 
 
 def frame_bytes(
@@ -141,33 +159,25 @@ def _entry_field(entry: Any, field: str, index: int) -> Any:
     return entry[field]
 
 
-def decode_frame(body: bytes | memoryview) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
-    """``(arrays, meta)`` from one frame; rejects malformed input cleanly.
+@functools.lru_cache(maxsize=_HEADER_MEMO)
+def _read_header(
+    header_bytes: bytes,
+) -> tuple[
+    tuple[tuple[str, Any], ...], tuple[tuple[str, np.dtype, tuple[int, ...], int], ...]
+]:
+    """Parse and validate one header: ``(meta items, array layout)``.
 
-    The returned arrays are read-only views over ``body`` (zero-copy);
-    callers that need to mutate must copy.  ``meta`` is the header
-    minus its ``"arrays"`` key.  Anything structurally wrong — bad
-    magic, truncated header, a byte count that disagrees with
-    dtype × shape, trailing garbage — raises :class:`FrameError` naming
-    the problem; nothing is ever silently mis-sliced.
+    Memoized like :func:`_head_chunk`: a client fetching the same entry,
+    or a cache reading entries of one shape, sees the same header bytes
+    again and again.  A malformed header raises and is not cached.
     """
-    view = memoryview(body).cast("B")
-    if len(view) < len(_MAGIC) + _LEN.size or bytes(view[: len(_MAGIC)]) != _MAGIC:
-        raise FrameError("malformed frame: missing REPROFR1 magic")
-    offset = len(_MAGIC)
-    (header_len,) = _LEN.unpack_from(view, offset)
-    offset += _LEN.size
-    if header_len > _MAX_HEADER_BYTES or offset + header_len > len(view):
-        raise FrameError("malformed frame: header length exceeds the body")
     try:
-        header = json.loads(bytes(view[offset : offset + header_len]).decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FrameError(f"malformed frame: header is not JSON ({exc})") from None
-    offset += header_len
     if not isinstance(header, dict) or not isinstance(header.get("arrays"), list):
         raise FrameError("malformed frame: header lacks an 'arrays' list")
-
-    arrays: dict[str, np.ndarray] = {}
+    layout: list[tuple[str, np.dtype, tuple[int, ...], int]] = []
     for index, entry in enumerate(header["arrays"]):
         name = _entry_field(entry, "name", index)
         if not isinstance(name, str):
@@ -195,15 +205,46 @@ def decode_frame(body: bytes | memoryview) -> tuple[dict[str, np.ndarray], dict[
                 f"malformed frame: {name!r} declares {nbytes} bytes but "
                 f"shape {tuple(shape)} x {dtype} needs {count * dtype.itemsize}"
             )
+        layout.append((name, dtype, tuple(shape), nbytes))
+    meta = tuple((key, value) for key, value in header.items() if key != "arrays")
+    return meta, tuple(layout)
+
+
+def decode_frame(body: bytes | memoryview) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
+    """``(arrays, meta)`` from one frame; rejects malformed input cleanly.
+
+    The returned arrays are read-only views over ``body`` (zero-copy);
+    callers that need to mutate must copy.  ``meta`` is the header
+    minus its ``"arrays"`` key.  Anything structurally wrong — bad
+    magic, truncated header, a byte count that disagrees with
+    dtype × shape, trailing garbage — raises :class:`FrameError` naming
+    the problem; nothing is ever silently mis-sliced.
+    """
+    view = memoryview(body).cast("B")
+    if len(view) < len(_MAGIC) + _LEN.size or bytes(view[: len(_MAGIC)]) != _MAGIC:
+        raise FrameError("malformed frame: missing REPROFR1 magic")
+    offset = len(_MAGIC)
+    (header_len,) = _LEN.unpack_from(view, offset)
+    offset += _LEN.size
+    if header_len > _MAX_HEADER_BYTES or offset + header_len > len(view):
+        raise FrameError("malformed frame: header length exceeds the body")
+    meta, layout = _read_header(bytes(view[offset : offset + header_len]))
+    offset += header_len
+
+    arrays: dict[str, np.ndarray] = {}
+    for name, dtype, shape, nbytes in layout:
         if offset + nbytes > len(view):
             raise FrameError(f"malformed frame: payload truncated at {name!r}")
         arrays[name] = np.frombuffer(
             view[offset : offset + nbytes], dtype=dtype
-        ).reshape(tuple(shape))
+        ).reshape(shape)
         offset += nbytes
     if offset != len(view):
         raise FrameError(
             f"malformed frame: {len(view) - offset} trailing bytes after the last array"
         )
-    meta = {key: value for key, value in header.items() if key != "arrays"}
-    return arrays, meta
+    # The memo shares parsed values between calls; copy nested ones.
+    return arrays, {
+        key: copy.deepcopy(value) if isinstance(value, (dict, list)) else value
+        for key, value in meta
+    }

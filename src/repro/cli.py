@@ -689,7 +689,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=None if args.cache_dir is None else str(args.cache_dir),
         max_cache_mb=args.max_cache_mb,
         jobs=args.jobs,
-        batch_window_s=args.batch_window,
         read_timeout_s=args.read_timeout,
         drain_timeout_s=args.drain_timeout,
     )
@@ -923,12 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--jobs", type=int, default=1, help="worker processes for large batched axes"
-    )
-    serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.005,
-        help="seconds a cold request waits to micro-batch compatible traffic",
     )
     serve.add_argument(
         "--backend",

@@ -7,10 +7,12 @@ function over JSON-over-HTTP with nothing beyond the standard library:
 * :class:`SweepServer` (``repro serve``) — a threaded daemon holding
   one shared, size-bounded :class:`repro.batch.SweepCache`.  Identical
   concurrent requests coalesce on their cache fingerprint (one compute,
-  many answers), and *compatible* allocation requests — same machine,
+  many answers), and *compatible* requests — same family, machine,
   stencil, partition kind, and tolerances, different grid axes — are
-  micro-batched onto a single vectorized analysis call whose
-  per-request slices are bit-identical to computing each alone.
+  group-committed: a cold request computes at once, and those arriving
+  while its evaluation runs are fused onto the next single vectorized
+  call, whose per-request slices are bit-identical to computing each
+  alone.
 * :class:`AsyncSweepServer` (``repro serve --backend asyncio``) — the
   same service core on an ``asyncio`` event loop: thousands of idle
   keep-alive connections without per-connection threads, HTTP/1.1

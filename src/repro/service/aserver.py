@@ -4,7 +4,7 @@ The threaded backend (:class:`~repro.service.server.SweepServer`) pays
 one OS thread per connection — fine for tens of clients, fatal for the
 thousands of mostly-idle keep-alive sockets a fleet of pooled clients
 holds open.  This module serves the *same* :class:`ServiceCore` (same
-routes, same frame codec, same cache/coalescing/micro-batching, byte
+routes, same frame codec, same cache/coalescing/batching, byte
 for byte) from a single event loop:
 
 * **The loop owns every socket.**  :class:`_Connection` is an
@@ -15,7 +15,11 @@ for byte) from a single event loop:
 * **Compute runs on a bounded pool.**  Each parsed request is handed to
   a ``ThreadPoolExecutor`` (``workers`` threads, total — not per
   connection) via ``run_in_executor``; the loop never blocks on the
-  cache, the planner, or NumPy.
+  disk tier, the planner, or NumPy.  The one exception is a warm
+  binary-frame hit in the memory tier
+  (:meth:`~repro.service.server.ServiceCore.memory_response`): a dict
+  probe and a frame header, answered on the loop because the two
+  thread hand-offs would cost more than the hit itself.
 * **Pipelined responses keep request order.**  HTTP/1.1 pipelining lets
   a client send N requests before reading one response; responses MUST
   come back in request order.  Each connection keeps an ordered queue
@@ -77,33 +81,6 @@ _MAX_BODY_BYTES = 256 * 2**20
 #: larger ones hand each chunk (the arrays' own buffers) to the
 #: transport individually.
 _GATHER_BYTES = 256 * 1024
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    408: "Request Timeout",
-    413: "Payload Too Large",
-    431: "Request Header Fields Too Large",
-    500: "Internal Server Error",
-    501: "Not Implemented",
-    503: "Service Unavailable",
-    505: "HTTP Version Not Supported",
-}
-
-
-def _head_bytes(response: Response) -> bytes:
-    """The response head.  Bodies, not heads, carry the parity contract."""
-    head = (
-        f"HTTP/1.1 {response.status} {_REASONS.get(response.status, 'Unknown')}\r\n"
-        "Server: repro-sweepd/1\r\n"
-        f"Content-Type: {response.content_type}\r\n"
-        f"Content-Length: {response.content_length}\r\n"
-    )
-    if response.close:
-        head += "Connection: close\r\n"
-    return (head + "\r\n").encode("ascii")
-
 
 class _HttpError(Exception):
     """A protocol violation: answer ``status`` and close the connection."""
@@ -224,7 +201,8 @@ class _Connection(asyncio.Protocol):
     """One client connection: parse, dispatch, write back in order.
 
     Everything here runs on the event loop thread except the compute
-    itself — request handling is posted to the server's executor, and
+    itself — request handling other than a warm memory-tier hit is
+    posted to the server's executor, and
     the per-connection ``_pending`` queue (request-order futures) is
     loop-confined state, so no locks are needed or taken.
     """
@@ -286,7 +264,7 @@ class _Connection(asyncio.Protocol):
                 response = self.app.error_response(
                     "timed out waiting for the rest of the request", 408, close=True
                 )
-                self.transport.write(_head_bytes(response))
+                self.transport.write(response.head_bytes())
                 self.transport.write(response.body_bytes())
             self.transport.close()
             return
@@ -325,6 +303,14 @@ class _Connection(asyncio.Protocol):
                 self.app.error_response("server is draining", 503, close=True),
                 owes_end=False,
             )
+            return
+        response = self.app.memory_response(
+            request.method, request.path, request.headers, request.body
+        )
+        if response is not None:
+            # A warm memory hit costs less than the executor hand-off.
+            response.close = request.close
+            self._enqueue_ready(response, owes_end=True)
             return
         future = loop.run_in_executor(self.app.executor, self._work, request)
         if request.close:
@@ -381,8 +367,15 @@ class _Connection(asyncio.Protocol):
         touches the transport, so pipelined responses cannot interleave
         or reorder.
         """
+        # Small responses that are ready back to back (a pipelined burst
+        # of warm hits) are gathered into one write; ``owed`` counts
+        # their end_request calls, made only once the bytes are written.
+        gathered: list[bytes | memoryview] = []
+        owed = 0
         while self._pending:
             future, owes_end = self._pending[0]
+            if not future.done():
+                owed = self._flush(gathered, owed)
             try:
                 response = await future
             except (Exception, asyncio.CancelledError) as exc:
@@ -396,19 +389,20 @@ class _Connection(asyncio.Protocol):
             transport = self.transport
             if transport is not None and not transport.is_closing():
                 self._last_activity = asyncio.get_running_loop().time()
-                head = _head_bytes(response)
+                gathered.append(response.head_bytes())
                 if response.content_length <= _GATHER_BYTES:
-                    transport.write(head + response.body_bytes())
+                    gathered.extend(response.chunks)
                 else:
-                    transport.write(head)
+                    owed = self._flush(gathered, owed)
                     for chunk in response.chunks:
                         # memoryview chunks alias the cached arrays —
                         # the zero-copy path all the way down.
                         transport.write(chunk)
                 if response.close:
+                    owed = self._flush(gathered, owed)
                     transport.close()
             if owes_end:
-                self.app.end_request()
+                owed += 1
             if (
                 self._paused
                 and self.transport is not None
@@ -416,10 +410,24 @@ class _Connection(asyncio.Protocol):
             ):
                 self.transport.resume_reading()
                 self._paused = False
+        self._flush(gathered, owed)
         # No await between the emptiness check and this hand-off, so a
         # data_received on the same loop cannot slip a request in
         # unnoticed: it would see _writer set and enqueue normally.
         self._writer = None
+
+    def _flush(self, gathered: list[bytes | memoryview], owed: int) -> int:
+        """Write the gathered responses, then balance their end_request.
+
+        Returns the debt left, zero, for the caller to carry on from.
+        """
+        transport = self.transport
+        if gathered and transport is not None and not transport.is_closing():
+            transport.write(b"".join(gathered))
+        gathered.clear()
+        for _ in range(owed):
+            self.app.end_request()
+        return 0
 
     @property
     def busy(self) -> bool:
@@ -458,7 +466,6 @@ class AsyncSweepServer(ServiceCore):
         cache_dir: str | None = None,
         max_cache_mb: float | None = None,
         jobs: int = 1,
-        batch_window_s: float = 0.005,
         compute_timeout_s: float = 600.0,
         read_timeout_s: float = DEFAULT_READ_TIMEOUT_S,
         drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S,
@@ -469,7 +476,6 @@ class AsyncSweepServer(ServiceCore):
             cache_dir=cache_dir,
             max_cache_mb=max_cache_mb,
             jobs=jobs,
-            batch_window_s=batch_window_s,
             compute_timeout_s=compute_timeout_s,
             read_timeout_s=read_timeout_s,
             drain_timeout_s=drain_timeout_s,

@@ -457,10 +457,10 @@ class ServiceClient:
     ) -> list[tuple[int, str, bytes]]:
         """One pipelined pass over a pooled socket; raises on transport loss.
 
-        Keeps a sliding window: at most ``depth`` requests are on the
-        wire ahead of the responses read back, which matches the
-        server's own per-connection in-flight bound instead of blasting
-        the whole batch blind.
+        Keeps a window: at most ``depth`` requests are on the wire ahead
+        of the responses read back, which matches the server's own
+        per-connection in-flight bound instead of blasting the whole
+        batch blind.
         """
         # A stale pooled socket surfaces as a transport error here and is
         # replayed by compute_many under the same bound as _request.
@@ -475,9 +475,12 @@ class ServiceClient:
             sent = 0
             closed = False
             while len(results) < len(requests):
-                while sent < len(requests) and sent - len(results) < depth:
-                    sock.sendall(requests[sent])
-                    sent += 1
+                # Refill the window once half of it has drained, in one
+                # write: fewer, larger segments for both ends to handle.
+                if sent < len(requests) and sent - len(results) <= depth // 2:
+                    upto = min(len(requests), len(results) + depth)
+                    sock.sendall(b"".join(requests[sent:upto]))
+                    sent = upto
                 status, ctype, body, closed = reader.read_response()
                 results.append((status, ctype, body))
                 if closed and len(results) < len(requests):

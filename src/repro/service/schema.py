@@ -116,7 +116,7 @@ def allocation_payload(
         "machine": machine,
         "stencil": stencil,
         "partition": kind,
-        "grid_sides": [int(n) for n in grid_sides],
+        "grid_sides": list(map(int, grid_sides)),
         "t_flop": float(t_flop),
         "max_processors": None if max_processors is None else float(max_processors),
         "integer": bool(integer),
@@ -142,7 +142,7 @@ def sweep_payload(
 ) -> dict[str, Any]:
     return {
         "kind": "sweep",
-        "grid_sides": [int(n) for n in grid_sides],
+        "grid_sides": list(map(int, grid_sides)),
         "processors": [float(p) for p in processors],
         "machines": list(machines),
         "stencil": stencil,

@@ -10,19 +10,22 @@ Request lifecycle for ``POST /v1/compute``:
    :class:`~repro.batch.SweepCache` (``served: memory|disk``).
 3. A miss consults the in-flight table: an identical request already
    computing means *wait, don't recompute* (``served: coalesced``).
-4. Cold requests then enter the micro-batcher, which is the sweep-graph
-   planner (:mod:`repro.graph`): each request is a lazy
-   :class:`~repro.graph.nodes.Node`, and nodes that land within one
-   batching window and share a fusion-compatibility fingerprint — same
-   family, machine closed form, stencil, partition kind, scalars; only
-   the axis differs — are planned together and fused onto a single
-   vectorized evaluation over the union axis.  Every family batches
-   this way (allocation curves *and* whole sweeps), not just
-   allocations.  Each requester gets its own slice, stored under its
-   own fingerprint (``served: batched`` for riders, ``computed`` for
-   the one thread that did the work).  Slices are bit-identical to
-   computing each request alone — every fusable family is elementwise
-   in its axis.
+4. Cold requests then enter the batcher, which is the sweep-graph
+   planner (:mod:`repro.graph`) behind a *group-commit* admission
+   queue: each request is a lazy :class:`~repro.graph.nodes.Node`
+   keyed by its fusion-compatibility group — same family, machine
+   closed form, stencil, partition kind, scalars; only the axis
+   differs.  A request whose group has no evaluation running is
+   evaluated at once, with no wait.  Compatible requests arriving while
+   that evaluation runs join one pending bucket, and when it finishes
+   the bucket's first member hands the whole bucket to the planner,
+   which fuses it onto a single vectorized evaluation over the union
+   axis.  Every family batches this way (allocation curves *and* whole
+   sweeps), not just allocations.  Each requester gets its own slice,
+   stored under its own fingerprint (``served: batched`` for riders,
+   ``computed`` for the one thread that did the work).  Slices are
+   bit-identical to computing each request alone — every fusable
+   family is elementwise in its axis.
 
 Endpoints::
 
@@ -149,6 +152,20 @@ _SHARD_THRESHOLD = 256
 _REQUEST_KEY_MEMO_MAX = 512
 
 
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    408: "Request Timeout",
+    413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
+    500: "Internal Server Error",
+    501: "Not Implemented",
+    503: "Service Unavailable",
+    505: "HTTP Version Not Supported",
+}
+
+
 class Response:
     """One transport-agnostic HTTP response: status, type, body chunks.
 
@@ -176,9 +193,24 @@ class Response:
     def content_length(self) -> int:
         return frame_length(self.chunks)
 
+    def head_bytes(self) -> bytes:
+        """The response head both transports write.
+
+        Bodies, not heads, carry the cross-backend parity contract.
+        """
+        head = (
+            f"HTTP/1.1 {self.status} {_REASONS.get(self.status, 'Unknown')}\r\n"
+            "Server: repro-sweepd/1\r\n"
+            f"Content-Type: {self.content_type}\r\n"
+            f"Content-Length: {self.content_length}\r\n"
+        )
+        if self.close:
+            head += "Connection: close\r\n"
+        return (head + "\r\n").encode("ascii")
+
     def body_bytes(self) -> bytes:
         """The whole body as one ``bytes`` (tests, small responses)."""
-        return b"".join(bytes(c) for c in self.chunks)
+        return b"".join(self.chunks)
 
 
 class _Flight:
@@ -192,6 +224,21 @@ class _Flight:
         self.error: str | None = None
 
 
+class _Bucket:
+    """Requests waiting for their group's running evaluation to finish.
+
+    ``members`` grows while the bucket is pending; the handoff that sets
+    ``turn`` detaches the bucket from the group table first, so its
+    leader reads a list nobody appends to any more.
+    """
+
+    __slots__ = ("members", "turn")
+
+    def __init__(self) -> None:
+        self.members: list[tuple[str, Node, _Flight]] = []
+        self.turn = threading.Event()
+
+
 class ServiceCore:
     """The transport-agnostic sweep service: routing, cache, coalescing.
 
@@ -199,7 +246,7 @@ class ServiceCore:
     :class:`~repro.service.aserver.AsyncSweepServer` — drive this one
     class: :meth:`handle_request` turns ``(method, path, headers,
     body)`` into a :class:`Response`, so the parse → fingerprint →
-    coalesce → micro-batch → serve path is shared verbatim and the two
+    coalesce → batch → serve path is shared verbatim and the two
     backends cannot drift.
 
     Parameters
@@ -208,12 +255,8 @@ class ServiceCore:
         The shared store: optional frame-file directory and the per-tier
         LRU bound (MiB) — both forwarded to :class:`SweepCache`.
     jobs:
-        Worker processes for sharding large micro-batched axes; 1 keeps
+        Worker processes for sharding large batched axes; 1 keeps
         every compute in the serving thread.
-    batch_window_s:
-        How long the first cold allocation request of a compatible
-        group waits for co-batchable traffic before computing.  Zero
-        disables micro-batching (coalescing still applies).
     read_timeout_s:
         Idle/half-open connections are closed after this many seconds
         (slowloris hardening); advertised in ``/healthz``.
@@ -230,14 +273,12 @@ class ServiceCore:
         cache_dir: str | None = None,
         max_cache_mb: float | None = None,
         jobs: int = 1,
-        batch_window_s: float = 0.005,
         compute_timeout_s: float = 600.0,
         read_timeout_s: float = DEFAULT_READ_TIMEOUT_S,
         drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S,
     ) -> None:
         self.cache = SweepCache(cache_dir, max_bytes=max_cache_bytes(max_cache_mb))
         self.jobs = max(1, int(jobs))
-        self.batch_window_s = float(batch_window_s)
         self.compute_timeout_s = float(compute_timeout_s)
         self.read_timeout_s = float(read_timeout_s)
         self.drain_timeout_s = float(drain_timeout_s)
@@ -249,7 +290,10 @@ class ServiceCore:
         #: parsing, validation, and fingerprint hashing entirely.
         self._request_keys: OrderedDict[bytes, str] = OrderedDict()  # guarded-by: _request_keys_lock
         self._request_keys_lock = threading.Lock()
-        self._buckets: dict[tuple[str, str], list[tuple[str, Node, _Flight]]] = {}
+        # Group commit: a compatibility group is a key while one of its
+        # evaluations runs; the value is the bucket of requests waiting
+        # for it to finish, or None.  Idle groups are not kept.
+        self._groups: dict[tuple[str, str | None], _Bucket | None] = {}  # guarded-by: _batch_lock
         self._batch_lock = threading.Lock()
         self._counters = {
             "requests": 0,
@@ -440,14 +484,15 @@ class ServiceCore:
     # The warm-hit fast path -------------------------------------------------
 
     def fast_serve(
-        self, body: bytes
+        self, body: bytes, memory_only: bool = False
     ) -> tuple[dict[str, np.ndarray], str] | None:
         """Serve a byte-identical repeat request by cache lookup alone.
 
-        ``None`` means the body is unknown (or its entry was evicted)
-        and the full parse → fingerprint → serve pipeline must run.
-        Counters move exactly as they would on the slow path's cache
-        hit, so ``/v1/stats`` cannot tell the two apart.
+        ``None`` means the body is unknown (or its entry was evicted, or
+        with ``memory_only`` is not in the memory tier) and the full
+        parse → fingerprint → serve pipeline must run.  Counters move
+        exactly as they would on the slow path's cache hit, so
+        ``/v1/stats`` cannot tell the two apart.
         """
         with self._request_keys_lock:
             key = self._request_keys.get(body)
@@ -455,12 +500,37 @@ class ServiceCore:
                 self._request_keys.move_to_end(body)
         if key is None:
             return None
-        arrays, level = self.cache.lookup_level(key)
+        if memory_only:
+            arrays, level = self.cache.lookup_memory(key), "memory"
+        else:
+            arrays, level = self.cache.lookup_level(key)
         if arrays is None or level is None:
             return None
         self._count("requests")
         self._count("hits")
         return arrays, level
+
+    def memory_response(
+        self, method: str, path: str, headers: Mapping[str, str], body: bytes
+    ) -> Response | None:
+        """A warm binary-frame ``/v1/compute`` hit from the memory tier.
+
+        ``None`` for anything else — other routes, JSON responses, an
+        unknown body, an entry not in memory.  Such a hit costs a dict
+        probe and a frame header that aliases the cached arrays, so a
+        transport may answer it in place of :meth:`handle_request`
+        without blocking on compute, disk or encoding; the response and
+        counters are the same as that method's.
+        """
+        if method != "POST" or path != "/v1/compute":
+            return None
+        accept = headers.get("accept", "")
+        if not self._accepts_frame(accept):
+            return None
+        fast = self.fast_serve(body, memory_only=True)
+        if fast is None:
+            return None
+        return self._respond_arrays(fast[0], fast[1], accept)
 
     def remember_request(self, body: bytes, key: str) -> None:
         """Memoize body → fingerprint after a successful full serve."""
@@ -484,7 +554,7 @@ class ServiceCore:
         compute: Callable[[], Mapping[str, np.ndarray]] | None,
         batch: Callable[[str, _Flight], tuple[dict[str, np.ndarray], str]] | None = None,
     ) -> tuple[dict[str, np.ndarray], str]:
-        """Cache → in-flight table → compute (or micro-batch) pipeline."""
+        """Cache → in-flight table → compute (or batch) pipeline."""
         arrays, level = self.cache.lookup_level(key)
         if arrays is not None and level is not None:
             self._count("hits")
@@ -521,30 +591,44 @@ class ServiceCore:
                 self._flights.pop(key, None)
             flight.event.set()
 
-    # The micro-batcher -----------------------------------------------------
+    # The batcher -----------------------------------------------------------
 
     def _family_batch(
         self, key: str, node: Node, flight: _Flight
     ) -> tuple[dict[str, np.ndarray], str]:
         """Merge compatible cold requests of *any* family onto one plan.
 
-        Buckets key on the node's ``(op, compat)`` — its family plus
-        its fusion-compatibility fingerprint (machine closed form,
-        stencil, partition kind, scalars; only the axis differs).  The
-        bucket leader sleeps one batching window, gathers everyone who
-        arrived, and hands all member nodes to the sweep-graph planner,
-        which fuses them onto one vectorized evaluation over the union
-        axis and stores each member's slice under its own fingerprint.
-        ``lookup=False`` because the request pipeline already counted
-        each member's miss — daemon hit/miss totals stay identical to
-        the offline path.
+        Group commit, keyed on the node's ``(op, compat)`` — its family
+        plus its fusion-compatibility fingerprint (machine closed form,
+        stencil, partition kind, scalars; only the axis differs).  A
+        request whose group is idle is evaluated at once.  Requests that
+        arrive while the group's evaluation runs join its pending
+        bucket; when the evaluation finishes, the bucket's first member
+        leads the next round and hands every member node to the
+        sweep-graph planner, which fuses them onto one vectorized
+        evaluation over the union axis and stores each member's slice
+        under its own fingerprint.  Nobody waits unless an evaluation of
+        their group is already running.  ``lookup=False`` because the
+        request pipeline already counted each member's miss — daemon
+        hit/miss totals stay identical to the offline path.
         """
-        compat = (node.op, node.compat)
+        group = (node.op, node.compat)
+        member = (key, node, flight)
+        bucket: _Bucket | None = None
+        leader = True
         with self._batch_lock:
-            bucket = self._buckets.setdefault(compat, [])
-            leader = not bucket
-            bucket.append((key, node, flight))
-        if not leader:
+            if group in self._groups:
+                bucket = self._groups[group]
+                if bucket is None:
+                    bucket = self._groups[group] = _Bucket()
+                else:
+                    leader = False
+                bucket.members.append(member)
+            else:
+                self._groups[group] = None
+        if bucket is None:
+            members = [member]
+        elif not leader:
             if not flight.event.wait(self.compute_timeout_s):
                 raise ReproError("timed out waiting for the batch leader")
             if flight.error is not None:
@@ -552,10 +636,8 @@ class ServiceCore:
             self._count("batched")
             assert flight.value is not None
             return flight.value, "batched"
-        if self.batch_window_s > 0.0:
-            time.sleep(self.batch_window_s)
-        with self._batch_lock:
-            members = self._buckets.pop(compat)
+        else:
+            members = self._await_turn(group, bucket, flight)
         try:
             results = plan_graph(
                 [mnode for _, mnode, _ in members],
@@ -566,14 +648,10 @@ class ServiceCore:
                 lookup=False,
             ).execute()
         except Exception as exc:
-            message = f"{type(exc).__name__}: {exc}"
-            for mkey, _, mflight in members:
-                if mflight is not flight:
-                    mflight.error = message
-                    with self._flights_lock:
-                        self._flights.pop(mkey, None)
-                    mflight.event.set()
+            self._fail_riders(members, flight, f"{type(exc).__name__}: {exc}")
             raise
+        finally:
+            self._next_round(group)
         self._count("computed")
         value = None
         for (mkey, _, mflight), stored in zip(members, results):
@@ -581,11 +659,60 @@ class ServiceCore:
                 value = stored
             else:
                 mflight.value = stored
-                with self._flights_lock:
-                    self._flights.pop(mkey, None)
-                mflight.event.set()
+                self._land(mkey, mflight)
         assert value is not None
         return value, "computed"
+
+    def _await_turn(
+        self, group: tuple[str, str | None], bucket: _Bucket, flight: _Flight
+    ) -> list[tuple[str, Node, _Flight]]:
+        """Block a bucket leader until its group's running round ends.
+
+        Returns the bucket's members, frozen at the handoff.  On timeout
+        a bucket not yet handed off is withdrawn and its riders fail
+        with the leader, so no request is left waiting on a round that
+        will never be led.
+        """
+        if not bucket.turn.wait(self.compute_timeout_s):
+            with self._batch_lock:
+                withdrawn = self._groups.get(group) is bucket
+                if withdrawn:
+                    self._groups[group] = None
+            if withdrawn:
+                exc = ReproError("timed out waiting for the running batch")
+                self._fail_riders(bucket.members, flight, f"ReproError: {exc}")
+                raise exc
+        return bucket.members
+
+    def _next_round(self, group: tuple[str, str | None]) -> None:
+        """End one evaluation: wake the group's pending bucket, or go idle."""
+        with self._batch_lock:
+            bucket = self._groups[group]
+            if bucket is None:
+                del self._groups[group]
+            else:
+                self._groups[group] = None  # the bucket's round runs next
+        if bucket is not None:
+            bucket.turn.set()
+
+    def _fail_riders(
+        self, members: list[tuple[str, Node, _Flight]], flight: _Flight, message: str
+    ) -> None:
+        """Hand ``message`` to every member but the leader (``flight``).
+
+        The leader's own flight is failed by :meth:`_serve` when the
+        exception propagates.
+        """
+        for mkey, _, mflight in members:
+            if mflight is not flight:
+                mflight.error = message
+                self._land(mkey, mflight)
+
+    def _land(self, key: str, flight: _Flight) -> None:
+        """Retire a rider's flight and wake its waiters."""
+        with self._flights_lock:
+            self._flights.pop(key, None)
+        flight.event.set()
 
     # Capacity plans --------------------------------------------------------
 
@@ -821,7 +948,6 @@ class SweepServer(ServiceCore):
         cache_dir: str | None = None,
         max_cache_mb: float | None = None,
         jobs: int = 1,
-        batch_window_s: float = 0.005,
         compute_timeout_s: float = 600.0,
         read_timeout_s: float = DEFAULT_READ_TIMEOUT_S,
         drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S,
@@ -830,7 +956,6 @@ class SweepServer(ServiceCore):
             cache_dir=cache_dir,
             max_cache_mb=max_cache_mb,
             jobs=jobs,
-            batch_window_s=batch_window_s,
             compute_timeout_s=compute_timeout_s,
             read_timeout_s=read_timeout_s,
             drain_timeout_s=drain_timeout_s,
@@ -930,16 +1055,13 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------- responses
 
     def _write_response(self, response: Response) -> None:
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(response.content_length))
+        """Head and body in one write when small: one segment to wake on."""
         if response.close:
-            self.send_header("Connection", "close")
             self.close_connection = True
-        self.end_headers()
         if response.content_length <= _GATHER_BYTES:
-            self.wfile.write(response.body_bytes())
+            self.wfile.write(response.head_bytes() + response.body_bytes())
         else:
+            self.wfile.write(response.head_bytes())
             for chunk in response.chunks:
                 self.wfile.write(chunk)
 

@@ -1,6 +1,7 @@
 """The content-addressed sweep cache: keys, levels, stats, correctness."""
 
 import builtins
+import dataclasses
 import errno
 import os
 import threading
@@ -21,11 +22,15 @@ from repro.batch import (
     optimal_allocation_curve,
     run_sweep,
 )
+from repro.batch.cache import _MEMO_ATTR, _canonical
 from repro.batch.frame import frame_bytes
+from repro.batch.sim import ReplicaBatchSpec
 from repro.errors import InvalidParameterError
 from repro.machines.bus import AsynchronousBus, SynchronousBus
-from repro.machines.catalog import PAPER_BUS, PAPER_BUS_ASYNC
-from repro.stencils.library import FIVE_POINT, NINE_POINT_BOX
+from repro.graph import nodes as graph_nodes
+from repro.machines.catalog import DEFAULT_MACHINES, PAPER_BUS, PAPER_BUS_ASYNC
+from repro.stencils.library import ALL_STENCILS, FIVE_POINT, NINE_POINT_BOX
+from repro.stencils.library import by_name as by_stencil_name
 from repro.stencils.perimeter import PartitionKind
 
 SQUARE = PartitionKind.SQUARE
@@ -80,6 +85,104 @@ class TestFingerprint:
         assert fingerprint(("op", Labelled())) == fingerprint(("op", Labelled()))
 
 
+#: Allocation-request fingerprints (square partitions, sides 64/128/256,
+#: default t_flop) for every catalog machine x library stencil, recorded
+#: before canonical encodings were memoized.  Existing stores are keyed
+#: by these digests; a change here orphans every warm store.
+GOLDEN_ALLOCATION_KEYS = {
+    ("butterfly", "5-point"): "e8095e133abd18c80757fe7cdeb4ee3856360da72a016b14ac9ffea3237ea0ab",
+    ("butterfly", "9-point-box"): "b33805d61915b116c73616be5b95eb3e861ac6a937dfbc81dbffa588005b4e7d",
+    ("butterfly", "9-point-star"): "fd47c74dcb70b0826b3ef46ef54c580d5a7ae8cbb29f360bcccb521fde2f77db",
+    ("butterfly", "13-point"): "2bc04de2823b8a9360aae8fcd17bd4227870f0e3e9b20d80de4a419fd02c02d6",
+    ("fem", "5-point"): "6b362a70a1afeae215ba855467d4131d89a672612d69bbaba266ec15e43e5ba4",
+    ("fem", "9-point-box"): "2c63e31ee2efa151062aecb2831246b9c7e4fc81692dcd52b3ffd81fd5a01098",
+    ("fem", "9-point-star"): "c892bdfe098f76890ffad57df3a51a4968ad7e66fa2c2108603cb3c3a8baa27e",
+    ("fem", "13-point"): "943840cc14777bf5c9e992aeb70f4636bbd9e520154082617b6b048ea0d1a239",
+    ("flex32", "5-point"): "b2c9eedf27ecf5ab191da4dd0ac836e457645603f155692c83ac3100d167e672",
+    ("flex32", "9-point-box"): "5687464b00907acde1829b2e6c0ef5fab5adb6d807f0af92437995a06b3a0dc1",
+    ("flex32", "9-point-star"): "bad7a1525621caee5899dd1be1194270f936625616944323d873c772c5f5d33c",
+    ("flex32", "13-point"): "2344ab614f00a91488d2a72f5b82742bd8387da74956116860c53dc3c7f89654",
+    ("flex32-async", "5-point"): "28bbe9558ff7a0bf9a2f0183ea33539be4c880312da9581c9b841ce7993f258e",
+    ("flex32-async", "9-point-box"): "da23740245ead7d5cf8e1075a05aa828fedc7157537945b8fc4635fde29b470f",
+    ("flex32-async", "9-point-star"): "3ab1ecead4d50dacd503694d6f202e27dd067c135005bb6b3c428e4a43ec4547",
+    ("flex32-async", "13-point"): "e19de174f406037eb3a15250b084955de3f3f34546fbca51250f574f1c5df4cb",
+    ("ipsc", "5-point"): "7a6b96a944789cafd46de01d74d13e07a277eb7d031d439410110a3708d577c6",
+    ("ipsc", "9-point-box"): "f86c644a6de3afb0642f5e14496a2836d62c34a51247846adef1b367302b9955",
+    ("ipsc", "9-point-star"): "d4020ecfe354dd2595b26f42fb9f5464f7d1063e81f5148e5f21253f5ba3f90e",
+    ("ipsc", "13-point"): "1d671a65454365bf8f3b58cd8495bbab050efc852452e01f0f0fa32086ea829c",
+    ("paper-bus", "5-point"): "3a894cf18c3e1028da3034874e244887fd55b4de3f6fcb1ad85c2d5dab61698a",
+    ("paper-bus", "9-point-box"): "f102147ac351fbf1ccf91e66bed10ef8a8f280e03b24bcf907bad08abf998283",
+    ("paper-bus", "9-point-star"): "eb5f4f6077fbd4872bb85267265ee28cc7c1cac1b7fd51e676d78ed1d871ac6f",
+    ("paper-bus", "13-point"): "f2228fc0952ac53f3999e2ccc7be1c67711e5fe14f6991f3a59887e9890000fe",
+    ("paper-bus-async", "5-point"): "8b55a49d143fda43465879cafbdb32a100d49071f91d5e0a011f3560fe5b76a2",
+    ("paper-bus-async", "9-point-box"): "1c9659af65ec68e6cfd99f43bde98506287c243443908bd3a23dbc261de8d1d4",
+    ("paper-bus-async", "9-point-star"): "9976de85287c5f9f54c5a38add90f8918afdf3b6f4c16209315268bf84e100ec",
+    ("paper-bus-async", "13-point"): "b47a26362ab70f7f6f018169f163851052830aac74e5ee0a47f46f8754beba72",
+    ("rp3", "5-point"): "a4a6f82efb2de98fde28a2ec48cb6e119c4addb6538b950433dfef49119f3a12",
+    ("rp3", "9-point-box"): "fbc89ac5ab1d39a2e0d5cc4aa282fc061bfc6a13435b34790c22737a38f5ad5c",
+    ("rp3", "9-point-star"): "4968b98b2b67ec9dd1e65ec81c90b5e6c6c1b0b93abcebcb3b1b7e08896f5fd3",
+    ("rp3", "13-point"): "5ed6c8d6161b9dc27b93d0645c93a19b9e9df2ffde41f890bea21b23ffa798b1",
+}
+GOLDEN_SWEEP_KEY = "a009c5f3f52350485576abeb43860e386cd34da51f5d11df35ed600eb0865b58"
+GOLDEN_REPLICA_KEY = "b0002b5f4e1a82409ef903cad2a98377d62ef0d02216385c8b0372b4cddb310f"
+
+
+class TestCanonicalMemo:
+    @staticmethod
+    def _allocation_key(machine, stencil):
+        return graph_nodes.allocation_curve(machine, stencil, SQUARE, [64, 128, 256]).key
+
+    def test_golden_allocation_fingerprints(self):
+        assert len(GOLDEN_ALLOCATION_KEYS) == len(DEFAULT_MACHINES) * len(ALL_STENCILS)
+        for (machine_name, stencil_name), golden in GOLDEN_ALLOCATION_KEYS.items():
+            machine = DEFAULT_MACHINES[machine_name]
+            stencil = by_stencil_name(stencil_name)
+            # A fresh copy carries no memo; the catalog instance may.
+            fresh = self._allocation_key(
+                dataclasses.replace(machine), dataclasses.replace(stencil)
+            )
+            assert fresh == golden, (machine_name, stencil_name)
+            assert self._allocation_key(machine, stencil) == golden
+            assert self._allocation_key(machine, stencil) == golden
+
+    def test_golden_nested_spec_fingerprints(self):
+        spec = SweepSpec.across_catalog([64, 128, 256], [1.0, 4.0, 16.0])
+        for _ in range(2):
+            assert graph_nodes.sweep(spec).key == GOLDEN_SWEEP_KEY
+        replicas = ReplicaBatchSpec(
+            PAPER_BUS, FIVE_POINT, SQUARE, (64, 128), (4, 16), (1, 2)
+        )
+        for _ in range(2):
+            assert fingerprint(("sim", replicas)) == GOLDEN_REPLICA_KEY
+
+    def test_memoized_encoding_equals_fresh_encoding(self):
+        for obj in (*DEFAULT_MACHINES.values(), *ALL_STENCILS):
+            memoized = _canonical(obj)
+            assert vars(obj)[_MEMO_ATTR] is memoized
+            copy = dataclasses.replace(obj)
+            assert _MEMO_ATTR not in vars(copy)
+            assert _canonical(copy) == memoized
+
+    def test_replace_does_not_reuse_the_old_memo(self):
+        base = fingerprint(("op", NINE_POINT_BOX))
+        renamed = dataclasses.replace(NINE_POINT_BOX, name="9-point-box-renamed")
+        assert _MEMO_ATTR not in vars(renamed)
+        assert fingerprint(("op", renamed)) != base
+        assert "9-point-box-renamed" in repr(vars(renamed)[_MEMO_ATTR])
+        assert fingerprint(("op", NINE_POINT_BOX)) == base
+
+    def test_mutable_dataclasses_are_not_memoized(self):
+        @dataclasses.dataclass
+        class Knobs:
+            width: int
+
+        knobs = Knobs(3)
+        before = fingerprint(("op", knobs))
+        assert _MEMO_ATTR not in vars(knobs)
+        knobs.width = 4
+        assert fingerprint(("op", knobs)) != before
+
+
 class TestSweepCacheLevels:
     def test_memory_hit_returns_identical_arrays(self, tmp_path):
         cache = SweepCache(tmp_path)
@@ -107,6 +210,19 @@ class TestSweepCacheLevels:
         assert warm.stats.disk_hits == 1 and warm.stats.misses == 0
         np.testing.assert_array_equal(c1.cycle_time, c2.cycle_time)
         assert c1.regime == c2.regime  # string arrays survive the frame round trip
+
+    def test_lookup_memory_never_reads_disk_or_counts_a_miss(self, tmp_path):
+        key = "e" * 64
+        SweepCache(tmp_path).store(key, {"x": np.arange(4.0)})
+        warm = SweepCache(tmp_path)  # the entry is on disk only
+        assert warm.lookup_memory(key) is None
+        assert warm.lookup_memory("f" * 64) is None
+        assert warm.stats.misses == 0 and warm.stats.disk_hits == 0
+        arrays, level = warm.lookup_level(key)  # promotes it to memory
+        assert level == "disk"
+        hit = warm.lookup_memory(key)
+        assert hit is arrays
+        assert warm.stats.memory_hits == 1 and warm.stats.misses == 0
 
     def test_memory_only_cache(self):
         cache = SweepCache()  # no directory at all

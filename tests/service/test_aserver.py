@@ -186,7 +186,7 @@ class TestReadTimeout:
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 class TestGracefulShutdown:
     def test_slow_request_racing_shutdown_still_completes(self, backend, monkeypatch):
-        server = BACKENDS[backend](port=0, batch_window_s=0.0).start_background()
+        server = BACKENDS[backend](port=0).start_background()
         try:
             slow_started = threading.Event()
             real = server.compute_with_key
@@ -240,9 +240,7 @@ class TestGracefulShutdown:
             core.close()
 
     def test_close_flushes_memory_entries_back_to_disk(self, backend, tmp_path):
-        server = BACKENDS[backend](
-            port=0, cache_dir=str(tmp_path), batch_window_s=0.0
-        ).start_background()
+        server = BACKENDS[backend](port=0, cache_dir=str(tmp_path)).start_background()
         client = ServiceClient(server.url)
         client.allocation_curve("paper-bus", "5-point", "square", SIDES)
         client.close()
@@ -306,6 +304,57 @@ class TestConnectionScalability:
                     sock.close()
 
 
+class TestWarmHitsOnTheLoop:
+    def test_warm_frame_hit_skips_the_executor(self, monkeypatch):
+        from repro.service import aserver
+
+        handed_off: list[str] = []
+        original = aserver._Connection._work
+
+        def work(connection, request):
+            handed_off.append(request.path)
+            return original(connection, request)
+
+        monkeypatch.setattr(aserver._Connection, "_work", work)
+        payload = allocation_payload("paper-bus", "5-point", "square", SIDES)
+        with AsyncSweepServer(port=0) as server:
+            client = ServiceClient(server.url)
+            cold = client.compute(payload)
+            assert handed_off == ["/v1/compute"]
+            warm = client.compute(payload)
+            assert client.last_served == "memory"
+            assert handed_off == ["/v1/compute"]  # answered on the loop
+            for name, value in cold.items():
+                assert warm[name].tobytes() == value.tobytes()
+            # A JSON response still encodes on a worker thread.
+            json_client = ServiceClient(server.url, binary=False)
+            json_client.compute(payload)
+            assert json_client.last_served == "memory"
+            assert handed_off == ["/v1/compute"] * 2
+            counters = client.stats()["counters"]
+            assert counters["requests"] == 3 and counters["hits"] == 2
+            client.close()
+            json_client.close()
+
+
+class TestGatheredWrites:
+    def test_gathered_pipelined_responses_balance_every_request(self):
+        payload = allocation_payload("paper-bus", "5-point", "square", SIDES)
+        with AsyncSweepServer(port=0) as server:
+            client = ServiceClient(server.url)
+            expected = client.compute(payload)
+            results = client.compute_many([payload] * 32, pipeline=16)
+            assert len(results) == 32
+            for arrays in results:
+                assert arrays["speedup"].tobytes() == expected["speedup"].tobytes()
+            # Every admitted request was balanced once its bytes were
+            # written, so a drain finds nothing in flight.
+            assert server.drain(timeout_s=5.0)
+            with server._inflight_cv:
+                assert server._inflight == 0
+            client.close()
+
+
 # --------------------------------------------------------------------------
 # Cross-backend byte parity
 # --------------------------------------------------------------------------
@@ -336,7 +385,7 @@ PARITY_STREAM = [
 
 def _serve_parity_stream(backend: str) -> tuple[list[tuple], dict]:
     """The full stream against one backend: raw responses + stats deltas."""
-    with BACKENDS[backend](port=0, batch_window_s=0.0) as server:
+    with BACKENDS[backend](port=0) as server:
         client = ServiceClient(server.url)
         responses = []
         for payload, accept in PARITY_STREAM:

@@ -125,6 +125,50 @@ class TestRoundTrip:
         assert not decoded["x"].flags.writeable  # views over the body
 
 
+class TestHeaderMemo:
+    """Headers are memoized on both sides; the memo must be invisible."""
+
+    def test_repeat_encode_and_decode_hit_the_memo(self):
+        from repro.batch import frame
+
+        arrays = {"x": np.arange(7.0), "regime": np.asarray(["one", "all"])}
+        first = frame_bytes(arrays, {"status": "ok", "served": "memory"})
+        encoded = frame._head_chunk.cache_info().hits
+        decoded = frame._read_header.cache_info().hits
+        again = {"x": np.arange(7.0) + 1, "regime": np.asarray(["all", "one"])}
+        second = frame_bytes(again, {"status": "ok", "served": "memory"})
+        assert frame._head_chunk.cache_info().hits == encoded + 1
+        payload = 7 * 8 + 2 * 3 * 4  # x, then two <U3 strings
+        assert first[:-payload] == second[:-payload]  # the same header
+        for body, source in ((first, arrays), (second, again)):
+            out, meta = decode_frame(body)
+            assert meta == {"status": "ok", "served": "memory"}
+            for name, value in source.items():
+                np.testing.assert_array_equal(out[name], value)
+        assert frame._read_header.cache_info().hits == decoded + 1
+
+    def test_same_layout_with_other_meta_or_dtype_is_a_new_header(self):
+        x = np.arange(3.0)
+        _, meta = decode_frame(frame_bytes({"x": x}, {"served": "disk"}))
+        assert meta == {"served": "disk"}
+        out, _ = decode_frame(frame_bytes({"x": x.astype("<f4")}, {"served": "disk"}))
+        assert out["x"].dtype == np.dtype("<f4")
+
+    def test_equal_but_differently_typed_meta_is_not_conflated(self):
+        x = {"x": np.zeros(1)}
+        for value in (True, 1, 1.0, "1"):
+            _, meta = decode_frame(frame_bytes(x, {"v": value}))
+            assert type(meta["v"]) is type(value) and meta["v"] == value
+
+    def test_nested_meta_is_not_shared_between_decodes(self):
+        body = frame_bytes({"x": np.zeros(2)}, {"tags": ["a", "b"], "n": {"k": 1}})
+        _, meta = decode_frame(body)
+        meta["tags"].append("mutated")
+        meta["n"]["k"] = 2
+        _, again = decode_frame(body)
+        assert again == {"tags": ["a", "b"], "n": {"k": 1}}
+
+
 class TestParityWithJson:
     @settings(max_examples=60, deadline=None)
     @given(array=served_arrays())

@@ -39,7 +39,7 @@ def _assert_same_arrays(ours: dict, theirs: dict) -> None:
 
 @pytest.fixture(params=sorted(BACKENDS))
 def server(request):
-    with BACKENDS[request.param](port=0, batch_window_s=0.0) as srv:
+    with BACKENDS[request.param](port=0) as srv:
         yield srv
 
 
@@ -80,7 +80,7 @@ class TestDepthVersusServerCap:
         # A 32-deep client burst against a server that pauses reading
         # at 4 queued responses: backpressure (pause_reading/resume)
         # must stall the writer, not deadlock or drop requests.
-        with AsyncSweepServer(port=0, max_pipeline=4, batch_window_s=0.0) as srv:
+        with AsyncSweepServer(port=0, max_pipeline=4) as srv:
             client = ServiceClient(srv.url)
             payloads = _payloads(32)
             results = client.compute_many(payloads, pipeline=32)

@@ -1,23 +1,29 @@
 """The sweep service: wire fidelity, coalescing, batching, bounds."""
 
 import errno
+import json
 import os
+import sys
 import threading
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.batch import SweepCache, optimal_allocation_curve, run_sweep, SweepSpec
+from repro.errors import ReproError
+from repro.graph.executors import NumpyExecutor
 from repro.machines.catalog import DEFAULT_MACHINES, FLEX32, PAPER_BUS
 from repro.service import (
     AsyncSweepServer,
     RemoteSweepCache,
     ServiceClient,
+    ServiceCore,
     ServiceError,
     SweepServer,
 )
-from repro.service.schema import decode_arrays, encode_arrays
+from repro.service.schema import allocation_payload, decode_arrays, encode_arrays
 from repro.stencils.library import FIVE_POINT, NINE_POINT_BOX
 from repro.stencils.perimeter import PartitionKind
 
@@ -40,6 +46,107 @@ def server(request):
 @pytest.fixture()
 def client(server):
     return ServiceClient(server.url)
+
+
+class _ParkFirstEvaluation:
+    """Patch ``NumpyExecutor.evaluate``: the first call parks on an event.
+
+    While ``failing`` is set every later evaluation raises instead of
+    computing — a kernel failing mid-batch.
+    """
+
+    def __init__(self, monkeypatch, failing: bool = False) -> None:
+        self.failing = failing
+        self.parked = threading.Event()
+        self.release = threading.Event()
+        self.calls = 0
+        original = NumpyExecutor.evaluate
+        gate = self
+
+        def evaluate(executor, op, args, axis):
+            gate.calls += 1
+            if gate.calls == 1:
+                gate.parked.set()
+                assert gate.release.wait(10.0), "parked evaluation never released"
+            elif gate.failing:
+                raise RuntimeError("injected kernel failure")
+            return original(executor, op, args, axis)
+
+        monkeypatch.setattr(NumpyExecutor, "evaluate", evaluate)
+
+
+def _join_all(threads, timeout: float = 30.0) -> None:
+    for t in threads:
+        t.join(timeout)
+        assert not t.is_alive(), f"{t.name} did not finish"
+
+
+def _assert_batching_state_empty(core) -> None:
+    """No group marked running, no pending bucket, no flight left over."""
+    with core._batch_lock:
+        assert core._groups == {}
+    with core._flights_lock:
+        assert core._flights == {}
+
+
+def _wait_for_bucket(server, members: int) -> None:
+    """Block until ``members`` requests wait in the pending buckets."""
+    deadline = time.monotonic() + 10.0
+    while True:
+        with server._batch_lock:
+            waiting = sum(
+                len(b.members) for b in server._groups.values() if b is not None
+            )
+        if waiting == members:
+            return
+        assert waiting < members and time.monotonic() < deadline, waiting
+        time.sleep(0.001)
+
+
+def _fire_group_commit_round(server, gate, request, los):
+    """One parked evaluation, then every other request in one bucket.
+
+    Returns ``{lo: (result, served)}`` after asserting the round took
+    exactly two evaluations: the parked one and one fused evaluation
+    led by the bucket's first member, everyone else a ``batched`` rider.
+    """
+    stats = ServiceClient(server.url)
+    runs_before = stats.stats()["planner"]["executor_runs"]
+    results = {}
+    lock = threading.Lock()
+
+    def fire(lo):
+        c = ServiceClient(server.url)
+        result = request(c, lo)
+        with lock:
+            results[lo] = (result, c.last_served)
+        c.close()
+
+    head = threading.Thread(target=fire, args=(los[0],), daemon=True)
+    head.start()
+    assert gate.parked.wait(10.0)
+    threads = [threading.Thread(target=fire, args=(lo,), daemon=True) for lo in los[1:]]
+    for t in threads:
+        t.start()
+    _wait_for_bucket(server, len(los) - 1)
+    gate.release.set()
+    _join_all([head, *threads])
+    _assert_batching_state_empty(server)
+    runs_after = stats.stats()["planner"]["executor_runs"]
+    stats.close()
+    assert runs_after.get("numpy", 0) - runs_before.get("numpy", 0) == 2
+    assert gate.calls == 2
+    served = Counter(outcome for _, outcome in results.values())
+    assert results[los[0]][1] == "computed"
+    assert served == {"computed": 2, "batched": len(los) - 2}
+    # Every fused slice was stored under its own fingerprint.
+    for lo in los:
+        verifier = ServiceClient(server.url)
+        request(verifier, lo)
+        assert verifier.last_served in ("memory", "disk"), lo
+        verifier.close()
+    assert gate.calls == 2
+    return results
 
 
 class TestSchema:
@@ -174,74 +281,93 @@ class TestCoalescing:
         # entry or served from the store the one compute filled.
         assert counts["coalesced"] + counts["memory"] + counts["disk"] == 7
 
-    def test_micro_batch_compatible_axes_one_compute(self, server):
-        outcomes: list[str] = []
-        lock = threading.Lock()
-        barrier = threading.Barrier(6)
-
-        def fire(lo: int):
-            barrier.wait()
-            c = ServiceClient(server.url)
-            c.allocation_curve(
+    def test_micro_batch_compatible_axes_one_compute(self, server, monkeypatch):
+        # Group commit, made deterministic: the first request's
+        # evaluation parks, every rider lands in the pending bucket, and
+        # the release runs exactly one fused evaluation for all of them.
+        gate = _ParkFirstEvaluation(monkeypatch)
+        results = _fire_group_commit_round(
+            server,
+            gate,
+            lambda c, lo: c.allocation_curve(
                 "flex32", "5-point", "square", list(range(lo, lo + 200))
+            ),
+            [100 + 17 * i for i in range(6)],
+        )
+        for lo, (curve, _served) in results.items():
+            direct = optimal_allocation_curve(
+                FLEX32, FIVE_POINT, SQUARE, list(range(lo, lo + 200))
             )
-            with lock:
-                outcomes.append(c.last_served)
+            for name, value in direct.to_arrays().items():
+                np.testing.assert_array_equal(curve.to_arrays()[name], value)
 
-        threads = [
-            threading.Thread(target=fire, args=(100 + 17 * i,)) for i in range(6)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        counts = Counter(outcomes)
-        assert counts["computed"] >= 1
-        assert counts["batched"] >= 1  # at least one rider merged onto it
-
-    def test_micro_batch_compatible_sweeps_one_compute(self, server):
-        # Satellite of the planner rewrite: the micro-batcher is no
-        # longer allocation-only — compatible *sweep* requests (same
-        # processors/machines/stencil/kind, different grid axes) ride
-        # one fused evaluation too.
-        outcomes: list[str] = []
-        lock = threading.Lock()
-        barrier = threading.Barrier(6)
-
-        def fire(lo: int):
-            barrier.wait()
-            c = ServiceClient(server.url)
-            c.sweep(
+    def test_micro_batch_compatible_sweeps_one_compute(self, server, monkeypatch):
+        # The batcher is not allocation-only: compatible *sweep* requests
+        # (same processors/machines/stencil/kind, different grid axes)
+        # ride one fused evaluation too.
+        gate = _ParkFirstEvaluation(monkeypatch)
+        results = _fire_group_commit_round(
+            server,
+            gate,
+            lambda c, lo: c.sweep(
                 list(range(lo, lo + 120)), [1.0, 4.0, 16.0], ["ipsc", "paper-bus"]
-            )
-            with lock:
-                outcomes.append(c.last_served)
-
-        threads = [
-            threading.Thread(target=fire, args=(64 + 13 * i,)) for i in range(6)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        counts = Counter(outcomes)
-        assert counts["computed"] >= 1
-        assert counts["batched"] >= 1  # at least one rider merged onto it
-
-        # Every batched slice is bit-identical to a direct evaluation.
-        verifier = ServiceClient(server.url)
-        for i in range(6):
-            lo = 64 + 13 * i
-            sides = list(range(lo, lo + 120))
-            surfaces = verifier.sweep(sides, [1.0, 4.0, 16.0], ["ipsc", "paper-bus"])
-            assert verifier.last_served in ("memory", "disk")
+            ),
+            [64 + 13 * i for i in range(6)],
+        )
+        for lo, (surfaces, _served) in results.items():
             direct = run_sweep(
                 SweepSpec.across_catalog(
-                    sides, [1.0, 4.0, 16.0], machines=["ipsc", "paper-bus"]
+                    list(range(lo, lo + 120)),
+                    [1.0, 4.0, 16.0],
+                    machines=["ipsc", "paper-bus"],
                 )
             )
             for name in ("ipsc", "paper-bus"):
                 np.testing.assert_array_equal(surfaces[name], direct.cycle_time(name))
+
+    def test_failing_fused_evaluation_fails_every_rider(self, server, monkeypatch):
+        gate = _ParkFirstEvaluation(monkeypatch, failing=True)
+        sides = [[lo + k for k in range(50)] for lo in (100, 300, 500, 700)]
+        first, riders = sides[0], sides[1:]
+        outcomes: dict[int, object] = {}
+
+        def fire(axis: list[int]) -> None:
+            c = ServiceClient(server.url)
+            try:
+                outcomes[axis[0]] = c.allocation_curve("ipsc", "5-point", "square", axis)
+            except ServiceError as exc:
+                outcomes[axis[0]] = exc
+            c.close()
+
+        head = threading.Thread(target=fire, args=(first,), daemon=True)
+        head.start()
+        assert gate.parked.wait(10.0)
+        threads = [
+            threading.Thread(target=fire, args=(axis,), daemon=True) for axis in riders
+        ]
+        for t in threads:
+            t.start()
+        _wait_for_bucket(server, len(riders))
+        gate.release.set()
+        _join_all([head, *threads])
+        assert not isinstance(outcomes[first[0]], ServiceError)
+        for axis in riders:
+            error = outcomes[axis[0]]
+            assert isinstance(error, ServiceError)
+            assert "injected kernel failure" in str(error)
+        # The group's state was released, so the next request for it
+        # runs instead of queueing behind a round nobody leads.
+        _assert_batching_state_empty(server)
+        gate.failing = False
+        c = ServiceClient(server.url, timeout=10.0)
+        curve = c.allocation_curve("ipsc", "5-point", "square", riders[0])
+        assert c.last_served == "computed"
+        direct = optimal_allocation_curve(
+            DEFAULT_MACHINES["ipsc"], FIVE_POINT, SQUARE, riders[0]
+        )
+        np.testing.assert_array_equal(curve.speedup, direct.speedup)
+        c.close()
+        _assert_batching_state_empty(server)
 
     def test_batched_slices_equal_direct_computation(self, server):
         barrier = threading.Barrier(4)
@@ -270,6 +396,134 @@ class TestCoalescing:
             np.testing.assert_array_equal(served.speedup, direct.speedup)
             np.testing.assert_array_equal(served.cycle_time, direct.cycle_time)
             assert served.regime == direct.regime
+
+
+class TestGroupCommitCore:
+    def test_lone_cold_request_never_sleeps(self, monkeypatch):
+        # A cold request with no compatible evaluation running is
+        # computed at once: no fixed batching window on the compute path.
+        from repro.service import server as server_module
+
+        sleeps: list[float] = []
+        monkeypatch.setattr(server_module.time, "sleep", sleeps.append)
+        core = ServiceCore()
+        body = json.dumps(
+            allocation_payload("paper-bus", "5-point", "square", SIDES)
+        ).encode()
+        response = core.handle_request("POST", "/v1/compute", {}, body)
+        assert response.status == 200
+        assert json.loads(response.body_bytes())["served"] == "computed"
+        assert sleeps == []
+
+    def test_memory_response_answers_only_warm_frame_hits(self, tmp_path):
+        core = ServiceCore(cache_dir=str(tmp_path))
+        body = json.dumps(
+            allocation_payload("paper-bus", "5-point", "square", SIDES)
+        ).encode()
+        frame = {"accept": "application/x-repro-frame"}
+        assert core.memory_response("POST", "/v1/compute", frame, body) is None
+        cold = core.handle_request("POST", "/v1/compute", frame, body)
+        warm = core.memory_response("POST", "/v1/compute", frame, body)
+        assert warm is not None and warm.body_bytes() != cold.body_bytes()
+        assert warm.body_bytes() == core.handle_request(
+            "POST", "/v1/compute", frame, body
+        ).body_bytes()
+        assert core.memory_response("POST", "/v1/compute", {}, body) is None
+        assert core.memory_response("GET", "/v1/compute", frame, body) is None
+        core.cache = SweepCache(str(tmp_path))  # the entry is on disk only
+        assert core.memory_response("POST", "/v1/compute", frame, body) is None
+        assert core.cache.stats.misses == 0
+
+    def test_bucket_timing_out_behind_a_stuck_round_fails_and_cleans_up(
+        self, monkeypatch
+    ):
+        gate = _ParkFirstEvaluation(monkeypatch)
+        core = ServiceCore(compute_timeout_s=0.2)
+        axes = [[lo + k for k in range(40)] for lo in (100, 300, 500)]
+        outcomes: dict[int, object] = {}
+
+        def fire(axis: list[int]) -> None:
+            payload = allocation_payload("paper-bus", "5-point", "square", axis)
+            try:
+                outcomes[axis[0]] = core.compute_arrays(payload)[1]
+            except ReproError as exc:
+                outcomes[axis[0]] = exc
+
+        head = threading.Thread(target=fire, args=(axes[0],), daemon=True)
+        head.start()
+        assert gate.parked.wait(10.0)
+        threads = [
+            threading.Thread(target=fire, args=(axis,), daemon=True) for axis in axes[1:]
+        ]
+        for t in threads:
+            t.start()
+        _join_all(threads)
+        # The bucket behind the stuck round gave up; nobody is left
+        # waiting on a round that will never be led.
+        for axis in axes[1:]:
+            assert isinstance(outcomes[axis[0]], ReproError)
+            assert "timed out" in str(outcomes[axis[0]])
+        with core._batch_lock:
+            assert list(core._groups.values()) == [None]  # only the stuck round
+        gate.release.set()
+        _join_all([head])
+        assert outcomes[axes[0][0]] == "computed"
+        _assert_batching_state_empty(core)
+        payload = allocation_payload("paper-bus", "5-point", "square", axes[1])
+        assert core.compute_arrays(payload)[1] == "computed"
+
+    def test_stress_every_request_is_served_once_and_state_drains(self):
+        # More threads than cores and a short switch interval: a member
+        # lost between bucket and handoff would hang, a doubled one
+        # would be served twice, and a group left marked running would
+        # queue its next request forever.
+        core = ServiceCore()
+        jobs = [
+            (stencil, [lo + 7 * k for k in range(24)])
+            for stencil in ("5-point", "9-point-box")
+            for lo in range(64, 64 + 40 * 3, 3)
+        ]
+        served: dict[tuple[str, int], tuple[dict, str]] = {}
+        lock = threading.Lock()
+        cursor = iter(jobs)
+
+        def worker() -> None:
+            while True:
+                with lock:
+                    job = next(cursor, None)
+                if job is None:
+                    return
+                stencil, axis = job
+                payload = allocation_payload("flex32", stencil, "square", axis)
+                result = core.compute_arrays(payload)
+                with lock:
+                    served[(stencil, axis[0])] = result
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, daemon=True) for _ in range(8)]
+            for t in threads:
+                t.start()
+            _join_all(threads, timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert len(served) == len(jobs)
+        labels = Counter(label for _, label in served.values())
+        assert set(labels) <= {"computed", "batched"}
+        counters = core.stats_payload()["counters"]
+        assert counters["computed"] == labels["computed"]
+        assert counters["batched"] == labels["batched"]
+        assert core.cache.stats_snapshot()["executor_runs"] == {
+            "numpy": labels["computed"]
+        }
+        _assert_batching_state_empty(core)
+        stencils = {"5-point": FIVE_POINT, "9-point-box": NINE_POINT_BOX}
+        for stencil, axis in jobs:
+            arrays, _ = served[(stencil, axis[0])]
+            direct = optimal_allocation_curve(FLEX32, stencils[stencil], SQUARE, axis)
+            for name, value in direct.to_arrays().items():
+                np.testing.assert_array_equal(arrays[name], value)
 
 
 class TestPlanAndSweep:
@@ -409,7 +663,7 @@ class TestDiskFailureDegrades:
         def enospc(*args, **kwargs):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-        with SweepServer(port=0, cache_dir=str(tmp_path), batch_window_s=0.0) as srv:
+        with SweepServer(port=0, cache_dir=str(tmp_path)) as srv:
             c = ServiceClient(srv.url)
             monkeypatch.setattr(os, "replace", enospc)
             curve = c.allocation_curve("paper-bus", "5-point", "square", SIDES)

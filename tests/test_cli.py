@@ -580,6 +580,13 @@ class TestServeSubcommand:
                 raise
         assert process.returncode == 0
 
+    def test_serve_has_no_batching_window(self, capsys):
+        # Cold requests group-commit instead of sleeping a fixed window,
+        # so there is no window to configure.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--batch-window", "0.005"])
+        assert "--batch-window" in capsys.readouterr().err
+
 
 class TestLintSubcommand:
     def test_text_mode_reports_clean_tree(self, capsys):
