@@ -1,29 +1,28 @@
-"""BENCH-SERVICE: both serve backends — latency, pipelining, connections.
+"""BENCH-SERVICE: the sweep daemon — latency, pipelining, connections.
 
-Six measurements, recorded to ``results/BENCH_service.json`` so the
-serving layer's behavior is tracked across PRs:
+Six measurements against ``AsyncSweepServer`` (the ``repro serve``
+transport), recorded to ``results/BENCH_service.json`` so the serving
+layer's behavior is tracked across PRs:
 
-* **server vs direct latency, per backend** — a warm allocation-curve
-  request through ``repro serve`` versus the same request answered by
-  the in-process cache, measured against the threaded backend AND the
-  asyncio backend.  The client negotiates the zero-copy binary frame
-  over a pooled keep-alive connection; the base64-JSON path is also
-  timed.  **Gate (both backends):** the warm hit's wire overhead
-  (server minus direct) must be at most ``MAX_WIRE_OVERHEAD_RATIO``
-  times the direct cost — the protocol may not dominate the compute.
-* **cold latency (asyncio)** — a lone cold 500-point allocation
+* **server vs direct latency** — a warm allocation-curve request
+  through the daemon versus the same request answered by the
+  in-process cache, over the binary frame on a pooled keep-alive
+  connection.  **Gate:** the warm hit's wire overhead (server minus
+  direct) must be at most ``MAX_WIRE_OVERHEAD_RATIO`` times the direct
+  cost — the protocol may not dominate the compute.
+* **cold latency** — a lone cold 500-point allocation
   request through the daemon versus the same curve computed directly
   by ``optimal_allocation_curve``, each repeat on a fresh axis so the
   daemon misses every time.  A warm-up, then ``COLD_REPEATS``
   interleaved pairs; medians and quartiles are recorded.  **Gate:**
   the median served/direct ratio must be at most
   ``MAX_COLD_RATIO`` — a cold request pays no fixed batching wait.
-* **pipelined throughput, per backend** — warm hits issued through
+* **pipelined throughput** — warm hits issued through
   ``compute_many(pipeline=16)`` versus the same count sequentially
-  over one keep-alive connection.  **Gate (asyncio):**
-  ``pipelined_rps`` must be at least ``MIN_PIPELINE_SPEEDUP`` times
-  the sequential rate — pipelining has to buy real round trips.
-* **concurrent connections (asyncio)** — at least
+  over one keep-alive connection.  **Gate:** ``pipelined_rps`` must be
+  at least ``MIN_PIPELINE_SPEEDUP`` times the sequential rate —
+  pipelining has to buy real round trips.
+* **concurrent connections** — at least
   ``CONNECTION_TARGET`` idle keep-alive sockets held open at once
   (the fd limit is raised first), while the server's thread count
   stays bounded by the executor size.  **Gate:** sockets are not
@@ -56,7 +55,7 @@ import numpy as np
 from repro.batch import SweepCache, optimal_allocation_curve
 from repro.machines.catalog import PAPER_BUS
 from repro.report.csvio import default_results_dir
-from repro.service import AsyncSweepServer, ServiceClient, SweepServer
+from repro.service import AsyncSweepServer, ServiceClient
 from repro.service.schema import allocation_payload
 from repro.stencils.library import FIVE_POINT
 from repro.stencils.perimeter import PartitionKind
@@ -81,24 +80,15 @@ MIN_DEDUP_RATIO = 0.90
 MAX_WIRE_OVERHEAD_RATIO = 2.0
 
 #: Pipelined warm hits must beat one-at-a-time keep-alive requests by
-#: at least this factor on the asyncio backend.
+#: at least this factor.
 MIN_PIPELINE_SPEEDUP = 1.5
 
-#: A lone cold request through the asyncio daemon may cost at most this
+#: A lone cold request through the daemon may cost at most this
 #: multiple of computing the curve directly.  With a fixed 5 ms batching
 #: window it was ~5x.
 MAX_COLD_RATIO = 2.5
 COLD_WARMUP = 3
 COLD_REPEATS = 31
-
-BACKENDS = {"thread": SweepServer, "asyncio": AsyncSweepServer}
-
-
-def _make_server(backend: str):
-    if backend == "asyncio":
-        return AsyncSweepServer(port=0, workers=ASYNC_WORKERS)
-    return SweepServer(port=0)
-
 
 def _raise_fd_limit(wanted: int) -> int:
     """Raise RLIMIT_NOFILE toward ``wanted``; return the soft limit."""
@@ -123,14 +113,8 @@ def _median_seconds(fn, repeats: int = 15) -> float:
 
 
 def bench_latency(server) -> dict:
-    """Median warm-request latency: daemon round trip vs direct cache.
-
-    The daemon is timed twice — once over the negotiated binary frame
-    (the default client) and once forced onto the base64-JSON fallback
-    — so the frame's win is itself a tracked number.
-    """
+    """Median warm-request latency: daemon round trip vs direct cache."""
     client = ServiceClient(server.url)
-    json_client = ServiceClient(server.url, binary=False)
     kind = PartitionKind.SQUARE
 
     direct_cache = SweepCache()
@@ -139,15 +123,9 @@ def bench_latency(server) -> dict:
     )
     served = client.allocation_curve("paper-bus", "5-point", "square", SIDES, integer=True)
     np.testing.assert_array_equal(served.speedup, direct.speedup)
-    protocol = client.last_protocol
 
     server_s = _median_seconds(
         lambda: client.allocation_curve(
-            "paper-bus", "5-point", "square", SIDES, integer=True
-        )
-    )
-    json_s = _median_seconds(
-        lambda: json_client.allocation_curve(
             "paper-bus", "5-point", "square", SIDES, integer=True
         )
     )
@@ -157,11 +135,8 @@ def bench_latency(server) -> dict:
         )
     )
     return {
-        "backend": server.backend,
         "points": len(SIDES),
-        "protocol": protocol,
         "warm_server_seconds": server_s,
-        "warm_server_json_seconds": json_s,
         "warm_direct_seconds": direct_s,
         "wire_overhead_seconds": server_s - direct_s,
         "wire_overhead_ratio": (server_s - direct_s) / direct_s,
@@ -213,7 +188,6 @@ def bench_cold(server) -> dict:
     served = _quartiles(served_s)
     direct_q = _quartiles(direct_s)
     return {
-        "backend": server.backend,
         "points": len(SIDES),
         "warmup": COLD_WARMUP,
         "repeats": COLD_REPEATS,
@@ -246,7 +220,6 @@ def bench_pipelining(server) -> dict:
     sequential_rps = PIPELINE_REQUESTS / sequential_s
     pipelined_rps = PIPELINE_REQUESTS / pipelined_s
     return {
-        "backend": server.backend,
         "requests": PIPELINE_REQUESTS,
         "pipeline_depth": PIPELINE_DEPTH,
         "sequential_seconds": sequential_s,
@@ -258,7 +231,7 @@ def bench_pipelining(server) -> dict:
 
 
 def bench_connections() -> dict:
-    """Idle keep-alive sockets held open against the asyncio backend.
+    """Idle keep-alive sockets held open against the daemon.
 
     The point of the event loop: a connection is a few kilobytes of
     loop state, not a thread.  We hold ``CONNECTION_TARGET`` sockets
@@ -375,16 +348,12 @@ def bench_dedup(server) -> dict:
 
 
 def run_bench(output_path: Path | None = None) -> dict:
-    latency: dict[str, dict] = {}
-    pipelining: dict[str, dict] = {}
-    for backend in ("thread", "asyncio"):
-        with _make_server(backend) as server:
-            latency[backend] = bench_latency(server)
-            pipelining[backend] = bench_pipelining(server)
-            if backend == "asyncio":
-                cold = bench_cold(server)
+    with AsyncSweepServer(port=0, workers=ASYNC_WORKERS) as server:
+        latency = bench_latency(server)
+        pipelining = bench_pipelining(server)
+        cold = bench_cold(server)
     connections = bench_connections()
-    with SweepServer(port=0) as server:
+    with AsyncSweepServer(port=0, workers=ASYNC_WORKERS) as server:
         throughput = bench_throughput(server)
         dedup = bench_dedup(server)
     payload = {
@@ -411,35 +380,33 @@ def run_bench(output_path: Path | None = None) -> dict:
 def _check_gates(payload: dict) -> list[str]:
     """Every failed gate as a human-readable line (empty means PASS)."""
     failures = []
-    for backend, latency in payload["latency"].items():
-        if latency["last_served"] != "memory":
-            failures.append(f"{backend}: warm request was not a memory hit")
-        if latency["protocol"] != "frame":
-            failures.append(f"{backend}: client fell back off the binary frame")
-        if latency["wire_overhead_ratio"] > MAX_WIRE_OVERHEAD_RATIO:
-            failures.append(
-                f"{backend}: wire overhead {latency['wire_overhead_ratio']:.2f}x "
-                f"direct exceeds {MAX_WIRE_OVERHEAD_RATIO}x"
-            )
+    latency = payload["latency"]
+    if latency["last_served"] != "memory":
+        failures.append("warm request was not a memory hit")
+    if latency["wire_overhead_ratio"] > MAX_WIRE_OVERHEAD_RATIO:
+        failures.append(
+            f"wire overhead {latency['wire_overhead_ratio']:.2f}x "
+            f"direct exceeds {MAX_WIRE_OVERHEAD_RATIO}x"
+        )
     cold = payload["cold"]
     if cold["served_labels"] != ["computed"]:
         failures.append(f"cold requests were served as {cold['served_labels']}")
     if cold["cold_ratio"] > MAX_COLD_RATIO:
         failures.append(
-            f"asyncio: cold request {cold['cold_ratio']:.2f}x direct "
+            f"cold request {cold['cold_ratio']:.2f}x direct "
             f"exceeds {MAX_COLD_RATIO}x"
         )
-    pipe = payload["pipelining"]["asyncio"]
+    pipe = payload["pipelining"]
     if pipe["speedup"] < MIN_PIPELINE_SPEEDUP:
         failures.append(
-            f"asyncio: pipelined speedup {pipe['speedup']:.2f}x "
+            f"pipelined speedup {pipe['speedup']:.2f}x "
             f"below {MIN_PIPELINE_SPEEDUP}x sequential"
         )
     conn = payload["connections"]
     if conn["target"] >= CONNECTION_TARGET:
         if conn["concurrent_connections"] < CONNECTION_TARGET:
             failures.append(
-                f"asyncio held {conn['concurrent_connections']} concurrent "
+                f"daemon held {conn['concurrent_connections']} concurrent "
                 f"connections, below {CONNECTION_TARGET}"
             )
     else:  # the box's fd hard limit kept us from even trying
@@ -449,12 +416,12 @@ def _check_gates(payload: dict) -> list[str]:
         )
     if conn["thread_growth"] > conn["workers"] + 4:
         failures.append(
-            f"asyncio grew {conn['thread_growth']} threads under "
+            f"daemon grew {conn['thread_growth']} threads under "
             f"{conn['concurrent_connections']} connections "
             f"(bound: workers={conn['workers']} + 4)"
         )
     if not conn["served_while_loaded"]:
-        failures.append("asyncio stopped answering under idle connection load")
+        failures.append("daemon stopped answering under idle connection load")
     if payload["dedup"]["dedup_ratio"] < MIN_DEDUP_RATIO:
         failures.append(
             f"dedup ratio {payload['dedup']['dedup_ratio']:.3f} "
@@ -478,26 +445,24 @@ if __name__ == "__main__":
     json.dump(report, sys.stdout, indent=2)
     print()
     failures = _check_gates(report)
-    for backend in ("thread", "asyncio"):
-        latency = report["latency"][backend]
-        pipe = report["pipelining"][backend]
-        print(
-            f"{backend}: warm {latency['warm_server_seconds'] * 1e3:.2f} ms "
-            f"({latency['protocol']}) vs direct "
-            f"{latency['warm_direct_seconds'] * 1e3:.2f} ms "
-            f"(wire {latency['wire_overhead_ratio']:.2f}x); "
-            f"pipelined {pipe['pipelined_rps']:.0f} req/s vs sequential "
-            f"{pipe['sequential_rps']:.0f} req/s ({pipe['speedup']:.2f}x)"
-        )
+    latency = report["latency"]
+    pipe = report["pipelining"]
+    print(
+        f"warm {latency['warm_server_seconds'] * 1e3:.2f} ms vs direct "
+        f"{latency['warm_direct_seconds'] * 1e3:.2f} ms "
+        f"(wire {latency['wire_overhead_ratio']:.2f}x); "
+        f"pipelined {pipe['pipelined_rps']:.0f} req/s vs sequential "
+        f"{pipe['sequential_rps']:.0f} req/s ({pipe['speedup']:.2f}x)"
+    )
     cold = report["cold"]
     print(
-        f"asyncio cold: {cold['served_seconds']['median'] * 1e3:.2f} ms served vs "
+        f"cold: {cold['served_seconds']['median'] * 1e3:.2f} ms served vs "
         f"{cold['direct_seconds']['median'] * 1e3:.2f} ms direct "
         f"({cold['cold_ratio']:.2f}x)"
     )
     conn = report["connections"]
     print(
-        f"asyncio held {conn['concurrent_connections']} idle connections "
+        f"daemon held {conn['concurrent_connections']} idle connections "
         f"(+{conn['thread_growth']} threads, {conn['workers']} workers); "
         f"dedup ratio {report['dedup']['dedup_ratio']:.3f}; "
         f"{report['throughput']['requests_per_second']:.0f} req/s sustained"

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.batch.sim import ReplicaBatchSpec, simulate_replicas
 from repro.machines.catalog import PAPER_BUS
-from repro.service import ServiceClient, SweepServer
+from repro.service import AsyncSweepServer, ServiceClient
 from repro.stencils.library import FIVE_POINT
 from repro.stencils.perimeter import PartitionKind
 
@@ -47,7 +47,7 @@ def offline_ensemble() -> np.ndarray:
     return result.cycle_times
 
 
-def served_ensemble(server: SweepServer, offline: np.ndarray) -> None:
+def served_ensemble(server: AsyncSweepServer, offline: np.ndarray) -> None:
     client = ServiceClient(server.url)
     arrays = client.sim_sweep(
         "paper-bus", N, P, replicas=REPLICAS, jitter=0.05
@@ -63,7 +63,7 @@ def served_ensemble(server: SweepServer, offline: np.ndarray) -> None:
           f"hits={stats['counters']['hits']}")
 
 
-def served_validation(server: SweepServer) -> None:
+def served_validation(server: AsyncSweepServer) -> None:
     client = ServiceClient(server.url)
     arrays = client.sim_validate("paper-bus", N, [1, 2, 4, 8, 16])
     print("model vs simulation (paper-bus, 5-point squares):")
@@ -77,7 +77,7 @@ def served_validation(server: SweepServer) -> None:
 def main() -> None:
     offline = offline_ensemble()
     print()
-    with SweepServer(port=0) as server:
+    with AsyncSweepServer(port=0) as server:
         served_ensemble(server, offline)
         print()
         served_validation(server)

@@ -213,9 +213,9 @@ def main() -> None:
     # requests of any family batch onto one planner-fused call, and
     # --max-cache-mb (max_cache_mb=) keeps the store LRU-bounded.
     # Responses are byte-identical to computing offline.
-    from repro.service import ServiceClient, SweepServer
+    from repro.service import AsyncSweepServer, ServiceClient
 
-    with SweepServer(port=0, max_cache_mb=16) as server:
+    with AsyncSweepServer(port=0, max_cache_mb=16) as server:
         client = ServiceClient(server.url)
         sides = [256, 1024, 4096]
         served = client.allocation_curve(

@@ -1,24 +1,19 @@
 #!/usr/bin/env python
-"""The sweep daemon over the wire: negotiation, pooling, and the wire tax.
+"""The sweep daemon over the wire: pooling, the wire tax, pipelining.
 
 Starts an in-process `repro serve` daemon and walks the client surface:
 
-1. *Protocol negotiation* — the default client asks for the zero-copy
-   binary frame (`Accept: application/x-repro-frame`) and falls back
-   to base64-JSON transparently; both paths return bit-identical
-   arrays, and `/healthz` advertises what the daemon speaks.
-2. *Connection-pool knobs* — `pool_size` keep-alive sockets shared by
+1. *Connection-pool knobs* — `pool_size` keep-alive sockets shared by
    threads, `retries`/`backoff_s` for transient transport errors, and
    the `retry_non_idempotent` opt-in that `RemoteSweepCache` uses for
    its content-addressed PUTs.
-3. *The wire tax* — warm-hit latency over the frame, over forced
-   JSON, and for the direct in-process call, the numbers
-   `benchmarks/bench_service.py` gates at ≤ 2x direct.
-4. *Pipelining on the asyncio backend* — the same daemon run on the
-   event-loop transport (`repro serve --backend asyncio`), with
-   `compute_many(pipeline=N)` writing N requests down one keep-alive
-   socket before reading the first response: identical bytes, fewer
-   round trips.
+2. *The wire tax* — warm-hit latency through the daemon against the
+   direct in-process call, the numbers `benchmarks/bench_service.py`
+   gates at ≤ 2x direct.  Arrays cross the wire as zero-copy binary
+   frames, bit-identical to the offline computation.
+3. *Pipelining* — `compute_many(pipeline=N)` writes N requests down
+   one keep-alive socket before reading the first response: identical
+   bytes, fewer round trips.
 
 Run:  python examples/sweep_service.py
 """
@@ -29,7 +24,7 @@ import numpy as np
 
 from repro.batch import SweepCache, optimal_allocation_curve
 from repro.machines.catalog import PAPER_BUS
-from repro.service import AsyncSweepServer, RemoteSweepCache, ServiceClient, SweepServer
+from repro.service import AsyncSweepServer, RemoteSweepCache, ServiceClient
 from repro.service.schema import allocation_payload
 from repro.stencils.library import FIVE_POINT
 from repro.stencils.perimeter import PartitionKind
@@ -37,20 +32,7 @@ from repro.stencils.perimeter import PartitionKind
 SIDES = list(range(64, 1064, 4))
 
 
-def negotiation(server: SweepServer) -> None:
-    binary = ServiceClient(server.url)  # binary=True is the default
-    legacy = ServiceClient(server.url, binary=False)  # force base64-JSON
-
-    print("healthz protocols:", binary.health()["protocols"])
-    a = binary.allocation_curve("paper-bus", "5-point", "square", SIDES, integer=True)
-    b = legacy.allocation_curve("paper-bus", "5-point", "square", SIDES, integer=True)
-    print(f"binary client spoke: {binary.last_protocol}  (served: {binary.last_served})")
-    print(f"legacy client spoke: {legacy.last_protocol}  (served: {legacy.last_served})")
-    identical = a.speedup.tobytes() == b.speedup.tobytes()
-    print(f"frame and JSON answers bit-identical: {identical}")
-
-
-def pool_knobs(server: SweepServer) -> None:
+def pool_knobs(server: AsyncSweepServer) -> None:
     # One client, shared by threads: pool_size keep-alive connections,
     # each with TCP_NODELAY; stale sockets are replayed invisibly, and
     # transient errors retry with exponential backoff (retries attempts
@@ -73,9 +55,8 @@ def pool_knobs(server: SweepServer) -> None:
     print(f"RemoteSweepCache retries PUTs: {remote.client.retry_non_idempotent}")
 
 
-def wire_tax(server: SweepServer) -> None:
-    binary = ServiceClient(server.url)
-    legacy = ServiceClient(server.url, binary=False)
+def wire_tax(server: AsyncSweepServer) -> None:
+    client = ServiceClient(server.url)
     cache = SweepCache()
     kind = PartitionKind.SQUARE
 
@@ -90,64 +71,55 @@ def wire_tax(server: SweepServer) -> None:
     direct = lambda: optimal_allocation_curve(  # noqa: E731
         PAPER_BUS, FIVE_POINT, kind, SIDES, integer=True, cache=cache
     )
-    frame = lambda: binary.allocation_curve(  # noqa: E731
+    served = lambda: client.allocation_curve(  # noqa: E731
         "paper-bus", "5-point", "square", SIDES, integer=True
     )
-    json_path = lambda: legacy.allocation_curve(  # noqa: E731
-        "paper-bus", "5-point", "square", SIDES, integer=True
-    )
-    direct()  # warm both caches
-    frame()
-    d, f, j = median_ms(direct), median_ms(frame), median_ms(json_path)
+    identical = direct().speedup.tobytes() == served().speedup.tobytes()
+    print(f"served curve bit-identical to offline: {identical}")
+    d, f = median_ms(direct), median_ms(served)
     print(f"warm hit, {len(SIDES)} points: direct {d:.2f} ms | "
-          f"frame {f:.2f} ms | json {j:.2f} ms")
-    print(f"wire overhead: frame {(f - d) / d:.2f}x direct, "
-          f"json {(j - d) / d:.2f}x direct (gate: <= 2x)")
+          f"daemon {f:.2f} ms (served: {client.last_served})")
+    print(f"wire overhead: {(f - d) / d:.2f}x direct (gate: <= 2x)")
 
 
-def pipelining() -> None:
-    # The asyncio backend: same handlers, same bytes, but every socket
-    # is owned by one event loop (thousands of idle connections cost
-    # no threads) and pipelined requests are answered in order.
-    with AsyncSweepServer(port=0) as server:
-        print(f"asyncio daemon: {server.url} "
-              f"(backend: {ServiceClient(server.url).health()['backend']})")
-        client = ServiceClient(server.url)
-        payloads = [
-            allocation_payload("paper-bus", "5-point", "square", SIDES[: 50 + i])
-            for i in range(32)
-        ]
-        for p in payloads:
-            client.compute(p)  # warm every entry; we time the wire, not compute
+def pipelining(server: AsyncSweepServer) -> None:
+    # Every socket is owned by one event loop (thousands of idle
+    # connections cost no threads), and pipelined requests compute
+    # concurrently on the worker pool but are answered in order.
+    client = ServiceClient(server.url)
+    payloads = [
+        allocation_payload("paper-bus", "5-point", "square", SIDES[: 50 + i])
+        for i in range(32)
+    ]
+    for p in payloads:
+        client.compute(p)  # warm every entry; we time the wire, not compute
 
-        start = time.perf_counter()
-        sequential = [client.compute(p) for p in payloads]
-        seq_s = time.perf_counter() - start
+    start = time.perf_counter()
+    sequential = [client.compute(p) for p in payloads]
+    seq_s = time.perf_counter() - start
 
-        start = time.perf_counter()
-        pipelined = client.compute_many(payloads, pipeline=16)
-        pipe_s = time.perf_counter() - start
+    start = time.perf_counter()
+    pipelined = client.compute_many(payloads, pipeline=16)
+    pipe_s = time.perf_counter() - start
 
-        identical = all(
-            ours["speedup"].tobytes() == theirs["speedup"].tobytes()
-            for ours, theirs in zip(pipelined, sequential)
-        )
-        print(f"32 warm requests: sequential {seq_s * 1e3:.1f} ms | "
-              f"pipelined (depth 16) {pipe_s * 1e3:.1f} ms "
-              f"({seq_s / pipe_s:.2f}x)")
-        print(f"pipelined answers bit-identical and in order: {identical}")
+    identical = all(
+        ours["speedup"].tobytes() == theirs["speedup"].tobytes()
+        for ours, theirs in zip(pipelined, sequential)
+    )
+    print(f"32 warm requests: sequential {seq_s * 1e3:.1f} ms | "
+          f"pipelined (depth 16) {pipe_s * 1e3:.1f} ms "
+          f"({seq_s / pipe_s:.2f}x)")
+    print(f"pipelined answers bit-identical and in order: {identical}")
 
 
 def main() -> None:
-    with SweepServer(port=0) as server:
+    with AsyncSweepServer(port=0) as server:
         print(f"daemon: {server.url}\n")
-        negotiation(server)
-        print()
         pool_knobs(server)
         print()
         wire_tax(server)
-    print()
-    pipelining()
+        print()
+        pipelining(server)
 
 
 if __name__ == "__main__":

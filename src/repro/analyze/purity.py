@@ -1,7 +1,7 @@
 """fingerprint-purity: the cache's key paths must be deterministic.
 
 Every consumer of :class:`~repro.batch.cache.SweepCache` — the analysis
-layer, the service daemon, the graph planner, sharded workers — shares
+layer, the service daemon, the graph planner, runner workers — shares
 results purely because :func:`~repro.batch.cache.fingerprint` is a pure
 function of the request.  One reach into nondeterminism (wall clock,
 unseeded RNG, environment, ``id()``-carrying default ``repr``) and two

@@ -5,7 +5,7 @@ processor count ``P``, and architecture.  This package evaluates those
 families *densely and vectorized*: one NumPy-broadcast call per machine
 instead of a Python loop per point, which is 10–100× faster on the
 grids the experiments sweep and is the substrate future scaling PRs
-(result caching, sharded sweeps, new workloads) build on.
+(result caching, the sweep service, new workloads) build on.
 
 Usage::
 
@@ -81,12 +81,6 @@ from repro.batch.cache import (
     default_cache,
     fingerprint,
 )
-from repro.batch.shard import (
-    axis_chunks,
-    run_sweep_sharded,
-    sharded_allocation_arrays,
-    sharded_allocation_curve,
-)
 from repro.batch.sim import (
     ReplicaBatchResult,
     ReplicaBatchSpec,
@@ -114,7 +108,6 @@ __all__ = [
     "SweepCache",
     "SweepResult",
     "SweepSpec",
-    "axis_chunks",
     "bus_optimal_area_curve",
     "closed_form_optimal_speedup_async_bus_curve",
     "closed_form_optimal_speedup_sync_bus_curve",
@@ -137,11 +130,8 @@ __all__ = [
     "rectangle_error_curves",
     "replica_request",
     "run_sweep",
-    "run_sweep_sharded",
-    "sharded_allocation_arrays",
     "scaled_speedup_banyan_curve",
     "scaled_speedup_hypercube_curve",
-    "sharded_allocation_curve",
     "simulate_replicas",
     "simulate_replicas_cached",
     "speedup_ratio_curve",

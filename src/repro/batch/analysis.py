@@ -142,8 +142,8 @@ def _allocation_request(
 ) -> tuple:
     """The cache fingerprint request for one allocation-curve call.
 
-    Shared by :func:`optimal_allocation_curve` and the sharded evaluator
-    so both paths hit the same cache entries.
+    Shared by :func:`optimal_allocation_curve` and the graph's
+    allocation node so both paths hit the same cache entries.
     """
     return (
         "optimal_allocation_curve",

@@ -8,7 +8,7 @@ two-level:
 
 * an in-process dictionary (hit cost: one dict lookup), and
 * an optional on-disk store under ``cache_dir`` that survives process
-  restarts and is shared by sharded workers: one ``<key>.frame`` file
+  restarts and is shared by worker processes: one ``<key>.frame`` file
   per entry in the binary frame format (:mod:`repro.batch.frame`), so a
   disk hit is one ``read()`` plus a header parse.
 
@@ -281,7 +281,7 @@ class CacheStats:
     def merge(self, other: "CacheStats | Mapping[str, object]") -> "CacheStats":
         """Add another cache's counters (a worker's snapshot) into this one.
 
-        Multi-process paths — sharded workers, runner pools, the sweep
+        Multi-process paths — runner pools, the sweep
         service — each count in their own process; aggregating their
         snapshots is how a report shows the true totals instead of
         silently dropping worker activity.
@@ -330,7 +330,7 @@ class SweepCache:
     the analysis layer's curve objects serialize to.  Each disk entry is
     one ``<key>.frame`` file (:attr:`ENTRY_SUFFIX`) in the binary frame
     format.  Disk writes are atomic (write to a temp file, then rename),
-    so concurrent sharded workers sharing one ``cache_dir`` never observe
+    so concurrent worker processes sharing one ``cache_dir`` never observe
     torn files; temp files orphaned by a worker that crashed mid-write,
     and entries of the store's earlier ``.npz`` format, are swept the
     next time a cache opens the directory.
@@ -695,7 +695,7 @@ def configure_default_cache(
     Analysis functions called without an explicit ``cache=`` use this
     one; until configured, they compute directly.  The experiment
     runner's ``--cache-dir`` and the CLI's ``--cache-dir`` both route
-    here, including in sharded worker processes.
+    here, including in the runner's worker processes.
     """
     global _DEFAULT_CACHE
     _DEFAULT_CACHE = SweepCache(cache_dir, max_bytes=max_bytes)

@@ -1,13 +1,12 @@
 """The binary array frame: raw ``ndarray`` bytes behind a compact header.
 
-One codec serves two tiers.  The sweep service negotiates it as its
-fast wire path (:mod:`repro.service.frame` names the media type): the
-JSON protocol base64-encodes every array, which taxes each response
-with an encode, a decode, and a 4/3 size blowup.  The sweep cache's
-disk tier stores each entry as one frame file, so a disk hit is one
-``read()`` and a header parse rather than a zip archive walk.  The
-frame is one small JSON header describing the arrays, then their raw
-little-endian C-order bytes, concatenated.
+One codec serves two tiers.  The sweep service carries every array on
+the wire as a frame (:mod:`repro.service.frame` names the media type):
+raw bytes, with no text encoding of the numbers and no size blowup.
+The sweep cache's disk tier stores each entry as one frame file, so a
+disk hit is one ``read()`` and a header parse rather than a zip archive
+walk.  The frame is one small JSON header describing the arrays, then
+their raw little-endian C-order bytes, concatenated.
 
 Layout::
 
@@ -25,11 +24,11 @@ views into the received body via ``np.frombuffer`` — zero copies on
 either side for contiguous little-endian arrays, which is everything
 the sweep cache stores.
 
-Every value crosses bit for bit: the frame carries the same bytes the
-base64 path would, so a curve fetched on either protocol is identical
-down to the sign of ``-0.0``.  Big-endian or non-contiguous *inputs*
-are normalized (to little-endian, C-order) before encoding; values are
-preserved exactly, only the in-memory layout changes.
+Every value crosses bit for bit: the payload is the arrays' own bytes,
+so a fetched curve is identical down to the sign of ``-0.0``.
+Big-endian or non-contiguous *inputs* are normalized (to little-endian,
+C-order) before encoding; values are preserved exactly, only the
+in-memory layout changes.
 """
 
 from __future__ import annotations

@@ -20,9 +20,8 @@ Subcommands
 ``optimize`` and ``plan`` also run in whole-curve mode: ``--grid
 LO:HI[:STEP]`` (or an explicit comma list) sweeps the axis through the
 vectorized analysis layer and ``--cache-dir`` serves repeats from the
-content-addressed sweep cache (``--max-cache-mb`` bounds it);
-``optimize`` additionally accepts ``--jobs`` to shard large axes over a
-process pool.  With ``--server URL`` both commands route through a
+content-addressed sweep cache (``--max-cache-mb`` bounds it).  With
+``--server URL`` both commands route through a
 running ``repro serve`` daemon instead of computing locally — the
 output is byte-identical either way.  Both commands also take
 ``--explain`` (print the optimized sweep graph — nodes, fusion groups,
@@ -107,9 +106,9 @@ def _reject_server_plus_cache(
     """Fail fast on flags that do nothing once a daemon owns the work.
 
     ``experiments --server`` passes ``locally_meaningful`` for the flags
-    that still act in this process — ``--jobs`` sizes the worker pool
-    and ``--max-cache-mb`` bounds each worker's memory tier — while for
-    ``optimize``/``plan`` the daemon owns store, bound, and sharding.
+    that still act in this process — ``--max-cache-mb`` bounds each
+    worker's memory tier — while for ``optimize``/``plan`` the daemon
+    owns store and bound.
     """
     if not getattr(args, "server", None):
         if getattr(args, "executor", "numpy") != "numpy":
@@ -132,11 +131,6 @@ def _reject_server_plus_cache(
         raise InvalidParameterError(
             "--max-cache-mb has no effect with --server here: bound the "
             "daemon's store instead (`repro serve --max-cache-mb ...`)"
-        )
-    if getattr(args, "jobs", 1) != 1 and "jobs" not in locally_meaningful:
-        raise InvalidParameterError(
-            "--jobs has no effect with --server here: the daemon shards "
-            "large axes itself (`repro serve --jobs ...`)"
         )
     if getattr(args, "explain", False):
         raise InvalidParameterError(
@@ -353,11 +347,6 @@ def _optimize_grid(args: argparse.Namespace, machine, kind: PartitionKind) -> in
         return 0
     cache = _open_cache(args.cache_dir, args.max_cache_mb)
     if args.executor != "numpy":
-        if args.jobs != 1:
-            raise InvalidParameterError(
-                "--jobs shards the numpy executor only; drop it with "
-                f"--executor {args.executor}"
-            )
         from repro.batch.analysis import AllocationCurve
         from repro.graph import nodes as graph_nodes
         from repro.graph.planner import evaluate as graph_evaluate
@@ -374,9 +363,9 @@ def _optimize_grid(args: argparse.Namespace, machine, kind: PartitionKind) -> in
         arrays = graph_evaluate([node], cache=cache, executor=args.executor)[0]
         curve = AllocationCurve.from_arrays(arrays, kind)
     else:
-        from repro.batch import sharded_allocation_curve
+        from repro.batch import optimal_allocation_curve
 
-        curve = sharded_allocation_curve(
+        curve = optimal_allocation_curve(
             machine,
             stencil_by_name(args.stencil),
             kind,
@@ -384,7 +373,6 @@ def _optimize_grid(args: argparse.Namespace, machine, kind: PartitionKind) -> in
             t_flop=args.t_flop,
             max_processors=args.max_processors,
             integer=True,
-            jobs=args.jobs,
             cache=cache,
         )
     _render_allocation_curve(args, kind, curve, len(sides))
@@ -667,7 +655,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         for exp_id in sorted(all_experiments()):
             print(exp_id)
         return 0
-    _reject_server_plus_cache(args, locally_meaningful=("jobs", "max_cache_mb"))
+    _reject_server_plus_cache(args, locally_meaningful=("max_cache_mb",))
     return run_and_report(
         args.output,
         args.ids or None,
@@ -679,46 +667,24 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import signal
+    from repro.service import AsyncSweepServer
 
-    from repro.service import AsyncSweepServer, SweepServer
-
-    common = dict(
+    server = AsyncSweepServer(
         host=args.host,
         port=args.port,
         cache_dir=None if args.cache_dir is None else str(args.cache_dir),
         max_cache_mb=args.max_cache_mb,
-        jobs=args.jobs,
         read_timeout_s=args.read_timeout,
         drain_timeout_s=args.drain_timeout,
+        workers=args.workers,
     )
-    if args.backend == "asyncio":
-        # The asyncio backend installs its own SIGTERM/SIGINT handlers
-        # on the loop; serve_forever returns after drain + flush.
-        server: AsyncSweepServer | SweepServer = AsyncSweepServer(
-            workers=args.workers, **common
-        )
-    else:
-        server = SweepServer(**common)
-
-        # SIGTERM drains the same way ^C does: serve_forever unwinds
-        # through the KeyboardInterrupt path into close() below.
-        def _sigterm(signum: int, frame: object) -> None:
-            raise KeyboardInterrupt
-
-        signal.signal(signal.SIGTERM, _sigterm)
     bound = "unbounded" if args.max_cache_mb is None else f"{args.max_cache_mb:g} MiB/tier"
     store = "memory only" if args.cache_dir is None else str(args.cache_dir)
-    print(
-        f"repro sweep server ({args.backend}) listening on {server.url}", flush=True
-    )
+    print(f"repro sweep server listening on {server.url}", flush=True)
     print(f"store: {store} ({bound}); GET /v1/stats for counters", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down (draining in-flight requests)")
-    finally:
-        server.close()
+    # SIGTERM and ^C stop the event loop, which drains in-flight
+    # requests and flushes the store before serve_forever returns.
+    server.serve_forever()
     return 0
 
 
@@ -763,9 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="LRU bound per cache tier (MiB); default unbounded",
-    )
-    opt.add_argument(
-        "--jobs", type=int, default=1, help="shard large --grid axes over N workers"
     )
     opt.add_argument(
         "--server",
@@ -905,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.set_defaults(func=_cmd_experiments)
 
     serve = sub.add_parser(
-        "serve", help="long-running sweep server (JSON over HTTP)"
+        "serve", help="long-running sweep server (HTTP)"
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -921,20 +884,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU bound per cache tier (MiB); default unbounded",
     )
     serve.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for large batched axes"
-    )
-    serve.add_argument(
-        "--backend",
-        choices=("thread", "asyncio"),
-        default="thread",
-        help="transport: one thread per connection (thread) or one event "
-        "loop + a bounded compute pool (asyncio)",
-    )
-    serve.add_argument(
         "--workers",
         type=int,
         default=8,
-        help="compute threads for --backend asyncio (shared by all connections)",
+        help="compute threads shared by all connections",
     )
     serve.add_argument(
         "--read-timeout",

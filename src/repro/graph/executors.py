@@ -9,8 +9,7 @@ entry.
 
 Two executors ship:
 
-* ``numpy`` (default) — the vectorized :mod:`repro.batch` kernels,
-  optionally sharding large allocation axes across processes.
+* ``numpy`` (default) — the vectorized :mod:`repro.batch` kernels.
 * ``oracle`` — the scalar :mod:`repro.core` routines, element by
   element.  Slow by construction; it exists to *prove* retargetability
   and to pin the bit-equality contract: every array the NumPy executor
@@ -96,17 +95,10 @@ def executor_names() -> tuple[str, ...]:
 class NumpyExecutor(Executor):
     """Default backend: :mod:`repro.batch`'s vectorized kernels.
 
-    ``jobs > 1`` shards allocation-curve axes of at least
-    ``shard_threshold`` points across worker processes (the service
-    daemon's configuration); every other family is a single in-process
-    broadcast.
+    Every family is a single in-process broadcast over the fused axis.
     """
 
     name = "numpy"
-
-    def __init__(self, jobs: int = 1, shard_threshold: int = 256) -> None:
-        self.jobs = max(1, int(jobs))
-        self.shard_threshold = int(shard_threshold)
 
     def evaluate(
         self, op: str, args: Mapping[str, Any], axis: np.ndarray
@@ -116,19 +108,6 @@ class NumpyExecutor(Executor):
         from repro.batch.engine import run_sweep
 
         if op == "allocation_curve":
-            if self.jobs > 1 and axis.size >= self.shard_threshold:
-                from repro.batch.shard import sharded_allocation_arrays
-
-                return sharded_allocation_arrays(
-                    args["machine"],
-                    args["stencil"],
-                    args["kind"],
-                    axis,
-                    args["t_flop"],
-                    args["max_processors"],
-                    args["integer"],
-                    jobs=self.jobs,
-                )
             return analysis._compute_allocation_curve(
                 args["machine"],
                 args["stencil"],

@@ -2,10 +2,10 @@
 
 The paper's deliverable is a *function*: ``(problem size, machine,
 stencil) → optimal allocation and speedup``.  This package serves that
-function over JSON-over-HTTP with nothing beyond the standard library:
+function over HTTP with nothing beyond the standard library:
 
-* :class:`SweepServer` (``repro serve``) — a threaded daemon holding
-  one shared, size-bounded :class:`repro.batch.SweepCache`.  Identical
+* :class:`ServiceCore` — the service itself, with no sockets: one
+  shared, size-bounded :class:`repro.batch.SweepCache`.  Identical
   concurrent requests coalesce on their cache fingerprint (one compute,
   many answers), and *compatible* requests — same family, machine,
   stencil, partition kind, and tolerances, different grid axes — are
@@ -13,20 +13,16 @@ function over JSON-over-HTTP with nothing beyond the standard library:
   while its evaluation runs are fused onto the next single vectorized
   call, whose per-request slices are bit-identical to computing each
   alone.
-* :class:`AsyncSweepServer` (``repro serve --backend asyncio``) — the
-  same service core on an ``asyncio`` event loop: thousands of idle
-  keep-alive connections without per-connection threads, HTTP/1.1
-  pipelining with in-order responses and read backpressure, compute on
-  a bounded thread pool.  Responses are byte-identical to the threaded
-  backend's.
+* :class:`AsyncSweepServer` (``repro serve``) — the core on an
+  ``asyncio`` event loop: thousands of idle keep-alive connections
+  without per-connection threads, HTTP/1.1 pipelining with in-order
+  responses and read backpressure, compute on a bounded thread pool.
 * :class:`ServiceClient` — typed requests (allocation curves, capacity
   plans, raw sweeps) with exact ``float`` round-tripping, so a curve
   fetched from the daemon equals the offline computation byte for byte.
   Transport is a thread-safe keep-alive connection pool with stale-
-  socket replay and bounded exponential-backoff retry; array responses
-  negotiate the zero-copy binary frame (:mod:`repro.service.frame`,
-  ``Accept: application/x-repro-frame``) and fall back to base64-JSON
-  against older servers transparently.
+  socket replay and bounded exponential-backoff retry; arrays travel
+  as zero-copy binary frames (:mod:`repro.service.frame`).
 * :class:`RemoteSweepCache` — a :class:`~repro.batch.SweepCache` whose
   slow tier is the daemon instead of a local directory; the experiment
   runner's ``--server`` routes every worker's sweeps through one warm,
@@ -52,8 +48,7 @@ response's ``served`` field says how (``memory``/``disk``/``coalesced``
 from repro.service.aserver import AsyncSweepServer
 from repro.service.client import RemoteSweepCache, ServiceClient, ServiceError
 from repro.service.frame import FRAME_CONTENT_TYPE, FrameError, decode_frame, encode_frame, frame_bytes
-from repro.service.schema import decode_arrays, encode_arrays
-from repro.service.server import ServiceCore, SweepServer
+from repro.service.server import ServiceCore
 
 __all__ = [
     "FRAME_CONTENT_TYPE",
@@ -63,10 +58,7 @@ __all__ = [
     "ServiceClient",
     "ServiceCore",
     "ServiceError",
-    "SweepServer",
-    "decode_arrays",
     "decode_frame",
-    "encode_arrays",
     "encode_frame",
     "frame_bytes",
 ]

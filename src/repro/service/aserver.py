@@ -1,22 +1,20 @@
-"""The asyncio transport for the sweep service: ``--backend asyncio``.
+"""The sweep service's HTTP transport: ``repro serve``.
 
-The threaded backend (:class:`~repro.service.server.SweepServer`) pays
-one OS thread per connection — fine for tens of clients, fatal for the
-thousands of mostly-idle keep-alive sockets a fleet of pooled clients
-holds open.  This module serves the *same* :class:`ServiceCore` (same
-routes, same frame codec, same cache/coalescing/batching, byte
-for byte) from a single event loop:
+:class:`AsyncSweepServer` puts the :class:`ServiceCore` (routes, frame
+codec, cache, coalescing, group commit) on the network from a single
+``asyncio`` event loop:
 
 * **The loop owns every socket.**  :class:`_Connection` is an
   ``asyncio.Protocol``; an incremental HTTP/1.1 parser
   (:class:`_RequestParser`) accepts partial reads and multiple
   pipelined requests per ``data_received`` buffer, so ten thousand idle
   connections cost file descriptors and parser state, not threads.
+  Request bodies are capped at 256 MiB and heads at 64 KiB.
 * **Compute runs on a bounded pool.**  Each parsed request is handed to
   a ``ThreadPoolExecutor`` (``workers`` threads, total — not per
   connection) via ``run_in_executor``; the loop never blocks on the
-  disk tier, the planner, or NumPy.  The one exception is a warm
-  binary-frame hit in the memory tier
+  disk tier, the planner, or NumPy.  The one exception is a warm hit in
+  the memory tier
   (:meth:`~repro.service.server.ServiceCore.memory_response`): a dict
   probe and a frame header, answered on the loop because the two
   thread hand-offs would cost more than the hit itself.
@@ -36,10 +34,10 @@ for byte) from a single event loop:
   ``transport.write`` directly; small responses gather into one write
   (warm hits are latency-bound on syscalls, not bandwidth).
 
-Lifecycle mirrors the threaded backend: ``read_timeout_s`` reaps idle
-and half-open connections (slowloris hardening), and shutdown stops
-accepting, 503s new requests, drains in-flight ones (responses written,
-not just computed) within ``drain_timeout_s``, then flushes the cache.
+Lifecycle: ``read_timeout_s`` reaps idle and half-open connections
+(slowloris hardening), and shutdown stops accepting, 503s new requests,
+drains in-flight ones (responses written, not just computed) within
+``drain_timeout_s``, then flushes the cache.
 """
 
 from __future__ import annotations
@@ -304,9 +302,7 @@ class _Connection(asyncio.Protocol):
                 owes_end=False,
             )
             return
-        response = self.app.memory_response(
-            request.method, request.path, request.headers, request.body
-        )
+        response = self.app.memory_response(request.method, request.path, request.body)
         if response is not None:
             # A warm memory hit costs less than the executor hand-off.
             response.close = request.close
@@ -319,9 +315,7 @@ class _Connection(asyncio.Protocol):
 
     def _work(self, request: _Request) -> Response:
         """Executor-side: the shared core does all the real work."""
-        return self.app.handle_request(
-            request.method, request.path, request.headers, request.body
-        )
+        return self.app.handle_request(request.method, request.path, request.body)
 
     @staticmethod
     def _with_close(
@@ -436,18 +430,18 @@ class _Connection(asyncio.Protocol):
 
 
 class AsyncSweepServer(ServiceCore):
-    """``repro serve --backend asyncio``: the event-loop transport.
+    """``repro serve``: the :class:`ServiceCore` on an event loop.
 
-    Serves the same :class:`ServiceCore` as the threaded backend —
-    byte-identical responses, identical counters — but connection
-    scalability is decoupled from the thread count: the loop holds
-    every socket, and ``workers`` executor threads bound the compute
-    concurrency no matter how many clients connect.
+    Connection scalability is decoupled from the thread count: the loop
+    holds every socket, and ``workers`` executor threads bound the
+    compute concurrency no matter how many clients connect.
 
     Parameters
     ----------
     host, port:
-        Bind address; ``port=0`` picks an ephemeral port.
+        Bind address; ``port=0`` picks an ephemeral port.  The listener
+        is bound here, so :attr:`url` names the real port before the
+        loop starts.
     workers:
         Compute threads shared by all connections.
     max_pipeline:
@@ -465,7 +459,6 @@ class AsyncSweepServer(ServiceCore):
         port: int = DEFAULT_PORT,
         cache_dir: str | None = None,
         max_cache_mb: float | None = None,
-        jobs: int = 1,
         compute_timeout_s: float = 600.0,
         read_timeout_s: float = DEFAULT_READ_TIMEOUT_S,
         drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S,
@@ -475,7 +468,6 @@ class AsyncSweepServer(ServiceCore):
         super().__init__(
             cache_dir=cache_dir,
             max_cache_mb=max_cache_mb,
-            jobs=jobs,
             compute_timeout_s=compute_timeout_s,
             read_timeout_s=read_timeout_s,
             drain_timeout_s=drain_timeout_s,
@@ -485,8 +477,9 @@ class AsyncSweepServer(ServiceCore):
         self.executor = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-sweepd"
         )
-        self._bind = (host, port)
-        self._address: tuple[str, int] | None = None
+        self._sock = socket.create_server((host, port))
+        sockname = self._sock.getsockname()
+        self._address = (str(sockname[0]), int(sockname[1]))
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop_event: asyncio.Event | None = None
         self._connections: set[_Connection] = set()  # loop-confined
@@ -498,11 +491,11 @@ class AsyncSweepServer(ServiceCore):
 
     @property
     def host(self) -> str:
-        return self._address[0] if self._address is not None else self._bind[0]
+        return self._address[0]
 
     @property
     def port(self) -> int:
-        return self._address[1] if self._address is not None else self._bind[1]
+        return self._address[1]
 
     @property
     def url(self) -> str:
@@ -533,9 +526,7 @@ class AsyncSweepServer(ServiceCore):
         self._stop_event = asyncio.Event()
         handled_signals: list[signal.Signals] = []
         try:
-            server = await loop.create_server(
-                lambda: _Connection(self), self._bind[0], self._bind[1]
-            )
+            server = await loop.create_server(lambda: _Connection(self), sock=self._sock)
         except BaseException as exc:
             self._startup_error = exc
             self._ready.set()
@@ -546,8 +537,6 @@ class AsyncSweepServer(ServiceCore):
                 handled_signals.append(signum)
             except (NotImplementedError, ValueError, RuntimeError):
                 break  # not the main thread (start_background) or no unix signals
-        sockname = server.sockets[0].getsockname()
-        self._address = (str(sockname[0]), int(sockname[1]))
         self._ready.set()
         try:
             await self._stop_event.wait()
@@ -597,18 +586,7 @@ class AsyncSweepServer(ServiceCore):
         if self._thread is not None:
             self._thread.join(timeout=30.0)
             self._thread = None
-
-    def close(self, drain_timeout_s: float | None = None) -> None:
-        """Alias for :meth:`shutdown` (the threaded backend's surface).
-
-        The asyncio teardown already drains and flushes inside
-        ``serve_forever``; the explicit ``drain_timeout_s`` knob is
-        accepted for signature parity and applied via the instance
-        default.
-        """
-        if drain_timeout_s is not None:
-            self.drain_timeout_s = float(drain_timeout_s)
-        self.shutdown()
+        self._sock.close()  # a server that never ran still holds it
 
     def __enter__(self) -> "AsyncSweepServer":
         return self.start_background()

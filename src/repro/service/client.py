@@ -16,12 +16,10 @@ connection; genuinely transient transport errors get a bounded
 exponential-backoff retry — on by default for the idempotent surface
 (GETs and the pure ``/v1/compute`` POSTs), off by default for PUTs.
 
-Protocol: array responses are negotiated per request.  The client sends
-``Accept: application/x-repro-frame`` and branches on the response's
-``Content-Type`` — a new server answers with the zero-copy binary frame
-(:mod:`repro.service.frame`), an old server answers base64-JSON and the
-client decodes that instead, transparently.  ``last_protocol`` records
-which path the most recent compute took.
+Protocol: arrays travel as binary frames (:mod:`repro.service.frame`)
+both ways — compute results and cache entries come back as frames, and
+cache PUT bodies go out as frames.  Errors, ``/healthz`` and
+``/v1/stats`` are JSON.
 
 Retries back off with *full jitter*: the nth retry sleeps a uniform
 random duration in ``[0, backoff_s * 2**n]`` rather than the
@@ -31,16 +29,15 @@ seeded :class:`random.Random` to keep the schedule exact.
 
 Pipelining: :meth:`ServiceClient.compute_many` sends up to ``pipeline``
 requests down one pooled keep-alive socket before reading the first
-response (HTTP/1.1 pipelining).  Against the asyncio backend the
-requests compute concurrently on the server's worker pool while the
-responses come back in order — one connection, no client threads, and
-the per-request round trip amortized across the window.
+response (HTTP/1.1 pipelining).  The daemon computes the requests
+concurrently on its worker pool while the responses come back in
+order — one connection, no client threads, and the per-request round
+trip amortized across the window.
 """
 
 from __future__ import annotations
 
 import http.client
-import io
 import json
 import random
 import socket
@@ -62,7 +59,6 @@ from repro.service.frame import (
 )
 from repro.service.schema import (
     allocation_payload,
-    decode_arrays,
     plan_payload,
     sim_sweep_payload,
     sim_validate_payload,
@@ -192,7 +188,7 @@ class _SocketReader:
 
 
 class ServiceClient:
-    """HTTP client for a running :class:`~repro.service.SweepServer`.
+    """HTTP client for a running :class:`~repro.service.AsyncSweepServer`.
 
     Parameters
     ----------
@@ -215,9 +211,6 @@ class ServiceClient:
         Extend the retry budget (and the stale-socket replay) to PUTs.
         Off by default; safe to enable against the sweep daemon, whose
         cache PUTs are content-addressed and therefore replayable.
-    binary:
-        Offer the zero-copy binary frame on array requests.  The JSON
-        fallback is automatic either way; ``binary=False`` forces it.
     pipeline:
         Default HTTP/1.1 pipelining depth for :meth:`compute_many`:
         how many requests ride one socket before the first response is
@@ -236,7 +229,6 @@ class ServiceClient:
         retries: int = 2,
         backoff_s: float = 0.05,
         retry_non_idempotent: bool = False,
-        binary: bool = True,
         pipeline: int = 1,
         rng: random.Random | None = None,
     ) -> None:
@@ -252,41 +244,21 @@ class ServiceClient:
         self.retries = max(0, int(retries))
         self.backoff_s = float(backoff_s)
         self.retry_non_idempotent = bool(retry_non_idempotent)
-        self.binary = bool(binary)
         self.pipeline = max(1, int(pipeline))
         self._rng = rng if rng is not None else random.Random()
         self._prefix = split.path.rstrip("/")
         self._pool = _ConnectionPool(
             split.hostname or "127.0.0.1", split.port or 80, timeout, pool_size
         )
-        self._lock = threading.Lock()
-        #: Does the server speak the binary frame?  None until observed;
-        #: flipped False when a frame PUT bounces off an old server.
-        self._server_frames: bool | None = None  # guarded-by: _lock
         #: How the server answered the most recent compute call —
         #: ``memory``/``disk``/``coalesced``/``batched``/``computed``.
         self.last_served: str | None = None
-        #: Which wire encoding the most recent array response used —
-        #: ``"frame"`` or ``"json"``.
-        self.last_protocol: str | None = None
 
     def close(self) -> None:
         """Drop pooled connections (idle daemons, test teardown)."""
         self._pool.close()
 
     # ------------------------------------------------------------- transport
-
-    def _note_frames(self, supported: bool) -> None:
-        with self._lock:
-            self._server_frames = supported
-
-    def _frames_unknown(self) -> bool:
-        with self._lock:
-            return self._server_frames is None
-
-    def _frames_usable(self) -> bool:
-        with self._lock:
-            return self._server_frames is not False
 
     def _retry_delay(self, attempt: int) -> float:
         """Full-jitter backoff: uniform over ``[0, backoff_s * 2**attempt]``.
@@ -389,53 +361,34 @@ class ServiceClient:
     def stats(self) -> dict[str, Any]:
         return self._json("/v1/stats")
 
-    def _compute_accept(self) -> str:
-        return (
-            f"{FRAME_CONTENT_TYPE}, application/json"
-            if self.binary
-            else "application/json"
-        )
-
     def _decode_compute_response(
         self, status: int, ctype: str, body: bytes
     ) -> dict[str, np.ndarray]:
-        """Decode one ``/v1/compute`` response, whatever protocol it took.
+        """Decode one ``/v1/compute`` response: a frame, or a JSON error.
 
         Shared by the sequential and pipelined paths, so both see the
-        same negotiation, the same errors, and the same
-        ``last_served``/``last_protocol`` observability.
+        same errors and the same ``last_served`` observability.
         """
-        if ctype.startswith(FRAME_CONTENT_TYPE):
-            try:
-                arrays, meta = decode_frame(body)
-            except FrameError as exc:
-                raise ServiceError(f"sweep server sent a bad frame: {exc}") from None
-            if status != 200 or meta.get("status") != "ok":
-                raise ServiceError(
-                    str(meta.get("error", f"sweep server error {status}"))
-                )
-            self._note_frames(True)
-            self.last_served = meta.get("served")
-            self.last_protocol = "frame"
-            return arrays
-        decoded = self._parse_json(status, body, "/v1/compute")
-        self.last_served = decoded.get("served")
-        self.last_protocol = "json"
-        return decode_arrays(decoded["arrays"])
+        if not ctype.startswith(FRAME_CONTENT_TYPE):
+            self._parse_json(status, body, "/v1/compute")  # raises the error
+            raise ServiceError(f"sweep server answered {ctype!r}, not a frame")
+        try:
+            arrays, meta = decode_frame(body)
+        except FrameError as exc:
+            raise ServiceError(f"sweep server sent a bad frame: {exc}") from None
+        if status != 200 or meta.get("status") != "ok":
+            raise ServiceError(str(meta.get("error", f"sweep server error {status}")))
+        self.last_served = meta.get("served")
+        return arrays
 
     def compute(self, payload: Mapping[str, Any]) -> dict[str, np.ndarray]:
-        """POST one request; returns the named arrays, bit-exact.
-
-        The response encoding is whatever the negotiation yielded: the
-        binary frame from a frame-capable server, base64-JSON otherwise.
-        Either way the array bytes are identical.
-        """
+        """POST one request; returns the named arrays, bit-exact."""
         status, ctype, body = self._request(
             "/v1/compute",
             json.dumps(payload).encode(),
             method="POST",
             content_type="application/json",
-            accept=self._compute_accept(),
+            accept=FRAME_CONTENT_TYPE,
         )
         return self._decode_compute_response(status, ctype, body)
 
@@ -447,7 +400,7 @@ class ServiceClient:
             f"POST {self._prefix}/v1/compute HTTP/1.1\r\n"
             f"Host: {self._pool.host}:{self._pool.port}\r\n"
             "Content-Type: application/json\r\n"
-            f"Accept: {self._compute_accept()}\r\n"
+            f"Accept: {FRAME_CONTENT_TYPE}\r\n"
             f"Content-Length: {len(body)}\r\n"
             "\r\n"
         ).encode("ascii") + body
@@ -650,53 +603,26 @@ class ServiceClient:
     # ------------------------------------------------------- shared store API
 
     def cache_get(self, key: str) -> dict[str, np.ndarray] | None:
-        accept = (
-            f"{FRAME_CONTENT_TYPE}, application/octet-stream"
-            if self.binary
-            else "application/octet-stream"
+        status, _ctype, body = self._request(
+            f"/v1/cache/{key}", accept=FRAME_CONTENT_TYPE
         )
-        status, ctype, body = self._request(f"/v1/cache/{key}", accept=accept)
         if status == 404:
             return None
         if status != 200:
             raise ServiceError(f"cache fetch failed ({status}) for {key}")
-        if ctype.startswith(FRAME_CONTENT_TYPE):
-            try:
-                arrays, _meta = decode_frame(body)
-            except FrameError:
-                # A torn response is a miss, same as a corrupt local file.
-                return None
-            self._note_frames(True)
-            return arrays
         try:
-            with np.load(io.BytesIO(body), allow_pickle=False) as npz:
-                return {name: npz[name] for name in npz.files}
-        except Exception:
+            arrays, _meta = decode_frame(body)
+        except FrameError:
+            # A torn response is a miss, same as a corrupt local file.
             return None
+        return arrays
 
     def cache_put(self, key: str, arrays: Mapping[str, np.ndarray]) -> None:
-        if self.binary and self._frames_usable():
-            status, _ctype, _body = self._request(
-                f"/v1/cache/{key}",
-                frame_bytes(arrays),
-                method="PUT",
-                content_type=FRAME_CONTENT_TYPE,
-                idempotent=False,
-            )
-            if status == 200:
-                self._note_frames(True)
-                return
-            if not (status == 400 and self._frames_unknown()):
-                raise ServiceError(f"cache store failed ({status}) for {key}")
-            # An old server rejected the frame body: remember, fall back.
-            self._note_frames(False)
-        buffer = io.BytesIO()
-        np.savez(buffer, **dict(arrays))
         status, _ctype, _body = self._request(
             f"/v1/cache/{key}",
-            buffer.getvalue(),
+            frame_bytes(arrays),
             method="PUT",
-            content_type="application/octet-stream",
+            content_type=FRAME_CONTENT_TYPE,
             idempotent=False,
         )
         if status != 200:
@@ -714,10 +640,13 @@ class RemoteSweepCache(SweepCache):
     land in local memory and are pushed to the daemon, where every
     other worker (and the daemon's compute path itself) can hit them.
 
-    The transport rides the client's keep-alive pool and binary-frame
-    negotiation automatically.  Retries extend to PUTs here
-    (``retry_non_idempotent=True``): the store is content-addressed, so
-    replaying a cache insert is harmless by construction.
+    The transport rides the client's keep-alive pool.  Retries extend to
+    PUTs here (``retry_non_idempotent=True``): the store is
+    content-addressed, so replaying a cache insert is harmless by
+    construction.  A daemon that cannot be reached or rejects a request
+    degrades this tier the way a failing disk degrades a local one: the
+    failed GET (other than a 404) or PUT is counted in ``disk_errors``,
+    and the lookup is a miss or the entry stays in local memory.
     """
 
     def __init__(
@@ -728,7 +657,6 @@ class RemoteSweepCache(SweepCache):
         pool_size: int = 4,
         retries: int = 2,
         backoff_s: float = 0.05,
-        binary: bool = True,
     ) -> None:
         super().__init__(cache_dir=None, max_bytes=max_bytes)
         self.client = ServiceClient(
@@ -738,11 +666,17 @@ class RemoteSweepCache(SweepCache):
             retries=retries,
             backoff_s=backoff_s,
             retry_non_idempotent=True,
-            binary=binary,
         )
 
     def _disk_fetch(self, key: str) -> dict[str, np.ndarray] | None:
-        return self.client.cache_get(key)
+        try:
+            return self.client.cache_get(key)
+        except ServiceError:
+            self._count_disk_error()
+            return None
 
     def _disk_put(self, key: str, value: Mapping[str, np.ndarray]) -> None:
-        self.client.cache_put(key, value)
+        try:
+            self.client.cache_put(key, value)
+        except ServiceError:
+            self._count_disk_error()

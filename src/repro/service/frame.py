@@ -2,7 +2,7 @@
 
 The codec itself lives in :mod:`repro.batch.frame`, where the sweep
 cache's disk tier also uses it; this module adds the media type the
-client and server negotiate and keeps the codec's names importable
+client and server label frames with and keeps the codec's names importable
 from the service package.
 """
 
@@ -19,6 +19,6 @@ __all__ = [
     "decode_frame",
 ]
 
-#: The negotiated media type; clients send it in ``Accept``, the server
-#: answers with it as ``Content-Type`` when it can.
+#: The frame's media type: the ``Content-Type`` of every array-bearing
+#: response and cache PUT body.
 FRAME_CONTENT_TYPE = "application/x-repro-frame"

@@ -1,12 +1,13 @@
-"""Wire format for the sweep service: JSON requests, exact array payloads.
+"""Wire format for the sweep service: JSON requests and envelopes.
 
 Requests are flat JSON objects with a ``kind`` discriminator; results
 are named ``np.ndarray`` mappings — the same shape the analysis layer's
 curve objects serialize to, and the same values the content-addressed
-cache stores.  Arrays travel as raw little-endian bytes (base64) plus
-dtype and shape, so every float crosses the wire bit for bit: the
-service's byte-identical-to-offline contract rests on this encoding,
-not on decimal formatting.
+cache stores.  Results travel as binary frames
+(:mod:`repro.service.frame`): raw little-endian bytes plus dtype and
+shape, so every float crosses the wire bit for bit.  This module builds
+and validates the JSON side: request payloads, and the envelopes for
+errors, ``/healthz`` and ``/v1/stats``.
 
 Machines and stencils are referenced *by catalog name*.  The server
 resolves them against the same :data:`repro.machines.catalog.DEFAULT_MACHINES`
@@ -17,11 +18,8 @@ the network.
 
 from __future__ import annotations
 
-import base64
 import json
 from typing import Any, Mapping
-
-import numpy as np
 
 from repro.core.parameters import DEFAULT_T_FLOP
 from repro.errors import InvalidParameterError
@@ -32,8 +30,6 @@ from repro.stencils.library import by_name as stencil_by_name
 from repro.stencils.perimeter import PartitionKind
 
 __all__ = [
-    "encode_arrays",
-    "decode_arrays",
     "json_body",
     "error_body",
     "allocation_payload",
@@ -50,45 +46,12 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# Exact ndarray <-> JSON
-# --------------------------------------------------------------------------
-
-
-def encode_arrays(arrays: Mapping[str, np.ndarray]) -> dict[str, Any]:
-    """Named arrays as JSON-safe dicts with bit-exact contents."""
-    out: dict[str, Any] = {}
-    for name, array in arrays.items():
-        data = np.ascontiguousarray(array)
-        out[name] = {
-            "dtype": data.dtype.str,
-            "shape": list(data.shape),
-            "data": base64.b64encode(data.tobytes()).decode("ascii"),
-        }
-    return out
-
-
-def decode_arrays(payload: Mapping[str, Any]) -> dict[str, np.ndarray]:
-    """Inverse of :func:`encode_arrays`; arrays come back writable copies."""
-    out: dict[str, np.ndarray] = {}
-    for name, spec in payload.items():
-        raw = base64.b64decode(spec["data"])
-        array = np.frombuffer(raw, dtype=np.dtype(spec["dtype"]))
-        out[name] = array.reshape(tuple(spec["shape"])).copy()
-    return out
-
-
-# --------------------------------------------------------------------------
-# Response envelopes (server side, shared by both backends)
+# Response envelopes (server side)
 # --------------------------------------------------------------------------
 
 
 def json_body(payload: Mapping[str, Any]) -> bytes:
-    """One JSON response body, canonically serialized.
-
-    Both server backends build every JSON response through this one
-    function, so for the same payload their bodies are byte-identical —
-    the cross-backend parity suite rests on it.
-    """
+    """One JSON response body, canonically serialized."""
     return json.dumps(payload).encode("utf-8")
 
 

@@ -1,4 +1,4 @@
-"""The sweep server: one service core, pluggable HTTP transports.
+"""The sweep service core: routing, cache, coalescing, group commit.
 
 Request lifecycle for ``POST /v1/compute``:
 
@@ -31,58 +31,43 @@ Endpoints::
 
     GET  /healthz             liveness + protocols + backend + timeouts
     GET  /v1/stats            cache + coalescing counters
-    GET  /v1/cache/<key>      one entry (npz, or a binary frame when asked)
-    PUT  /v1/cache/<key>      insert one entry (npz or binary-frame body)
+    GET  /v1/cache/<key>      one entry as a binary frame
+    PUT  /v1/cache/<key>      insert one entry (binary-frame body)
     POST /v1/compute          allocation_curve | plan | sweep |
                               sim_sweep | sim_validate requests
 
 Everything above lives in :class:`ServiceCore`, which is
-transport-agnostic: it turns ``(method, path, headers, body)`` into a
+transport-agnostic: it turns ``(method, path, body)`` into a
 :class:`Response` (status, content type, body chunks) and knows nothing
-about sockets.  Two transports drive it:
+about sockets.  Tests drive it in process; ``repro serve`` runs it
+behind :class:`~repro.service.aserver.AsyncSweepServer`, an ``asyncio``
+event loop that owns every socket, parses pipelined HTTP/1.1 requests
+incrementally, and offloads each request's compute to a bounded worker
+pool.
 
-* :class:`SweepServer` (this module) — the threaded backend: stdlib
-  ``ThreadingHTTPServer``, one OS thread per connection.  Simple,
-  battle-tested, and the right tool up to a few hundred connections.
-* :class:`~repro.service.aserver.AsyncSweepServer` — the ``asyncio``
-  backend: an event loop owns every socket (thousands of idle
-  keep-alive connections cost no threads), parses pipelined HTTP/1.1
-  requests incrementally, and offloads each request's compute to a
-  bounded worker pool.  Selected with ``repro serve --backend asyncio``.
+Every response carries a ``Content-Length``, so a client can hold one
+connection open across requests instead of paying a TCP handshake per
+call.  Arrays travel only as the binary frame
+(:mod:`repro.service.frame`): the arrays' buffers are written straight
+to the socket, with no base64 and no JSON number formatting.  JSON
+carries requests, errors, ``/healthz`` and ``/v1/stats``.
 
-Because both backends call the same :class:`ServiceCore` methods with
-the same bytes, their response bodies are byte-identical and their
-``/v1/stats`` counters move identically for the same request stream —
-the cross-backend parity suite pins this.
-
-The handler speaks HTTP/1.1 with keep-alive: every response carries a
-``Content-Length``, so a client can hold one connection open across
-requests instead of paying a TCP handshake per call.  Array-bearing
-responses are negotiated: a request whose ``Accept`` names
-``application/x-repro-frame`` gets the raw-bytes binary frame
-(:mod:`repro.service.frame`) — the arrays' buffers are written straight
-to the socket, no base64, no JSON number formatting — while everything
-else gets the original JSON encoding, byte-identical to older servers.
-
-Lifecycle: both backends drain gracefully.  ``close()`` (or SIGTERM via
-``repro serve``) stops accepting new connections, rejects new requests
-with a 503 while waiting up to ``drain_timeout_s`` for in-flight
-computes to finish and their responses to be written, then flushes the
-cache's memory tier to disk so a restart warm-starts.  Idle and
-half-open connections (a slowloris client sending half a header and
-stalling) are closed after ``read_timeout_s`` on both backends; the
-timeout is advertised in ``/healthz``.
+Lifecycle: ``shutdown()`` (or SIGTERM via ``repro serve``) stops
+accepting new connections, rejects new requests with a 503 while
+waiting up to ``drain_timeout_s`` for in-flight computes to finish and
+their responses to be written, then flushes the cache's memory tier to
+disk so a restart warm-starts.  Idle and half-open connections (a slowloris
+client sending half a header and stalling) are closed after
+``read_timeout_s``; the timeout is advertised in ``/healthz``.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import re
 import threading
 import time
 from collections import OrderedDict
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -102,7 +87,6 @@ from repro.service.frame import (
     frame_length,
 )
 from repro.service.schema import (
-    encode_arrays,
     error_body,
     json_body,
     parse_allocation,
@@ -119,7 +103,6 @@ COMPUTE_KINDS = ("allocation_curve", "plan", "sim_sweep", "sim_validate", "sweep
 __all__ = [
     "Response",
     "ServiceCore",
-    "SweepServer",
     "COMPUTE_KINDS",
     "DEFAULT_PORT",
     "DEFAULT_READ_TIMEOUT_S",
@@ -130,7 +113,7 @@ DEFAULT_PORT = 8733
 
 #: Idle/half-open connections (a client that sent half a request header
 #: and stalled, or a keep-alive socket nobody uses) are closed after
-#: this many seconds on both backends — slowloris hardening.
+#: this many seconds — slowloris hardening.
 DEFAULT_READ_TIMEOUT_S = 60.0
 
 #: How long a graceful shutdown waits for in-flight requests to finish
@@ -140,11 +123,6 @@ DEFAULT_DRAIN_TIMEOUT_S = 10.0
 #: Fingerprints are SHA-256 hex digests; anything else never names a
 #: cache entry and must not reach the filesystem layer.
 _KEY_RE = re.compile(r"^[0-9a-f]{64}$")
-
-#: Union axes at least this long are worth sharding over the server's
-#: worker pool (mirrors repro.batch.shard.MIN_CHUNK economics); handed
-#: to the NumPy executor as its shard threshold.
-_SHARD_THRESHOLD = 256
 
 #: Request-body → fingerprint memo entries kept (LRU).  Bodies are a
 #: few KiB, so the memo is ~1–2 MiB at the cap — cheap insurance that a
@@ -194,10 +172,7 @@ class Response:
         return frame_length(self.chunks)
 
     def head_bytes(self) -> bytes:
-        """The response head both transports write.
-
-        Bodies, not heads, carry the cross-backend parity contract.
-        """
+        """The response head the transport writes before the body."""
         head = (
             f"HTTP/1.1 {self.status} {_REASONS.get(self.status, 'Unknown')}\r\n"
             "Server: repro-sweepd/1\r\n"
@@ -242,21 +217,15 @@ class _Bucket:
 class ServiceCore:
     """The transport-agnostic sweep service: routing, cache, coalescing.
 
-    Both backends — the threaded :class:`SweepServer` and the asyncio
-    :class:`~repro.service.aserver.AsyncSweepServer` — drive this one
-    class: :meth:`handle_request` turns ``(method, path, headers,
-    body)`` into a :class:`Response`, so the parse → fingerprint →
-    coalesce → batch → serve path is shared verbatim and the two
-    backends cannot drift.
+    :meth:`handle_request` turns ``(method, path, body)`` into a
+    :class:`Response`; :class:`~repro.service.aserver.AsyncSweepServer`
+    puts it on the network, and tests call it in process.
 
     Parameters
     ----------
     cache_dir, max_cache_mb:
         The shared store: optional frame-file directory and the per-tier
         LRU bound (MiB) — both forwarded to :class:`SweepCache`.
-    jobs:
-        Worker processes for sharding large batched axes; 1 keeps
-        every compute in the serving thread.
     read_timeout_s:
         Idle/half-open connections are closed after this many seconds
         (slowloris hardening); advertised in ``/healthz``.
@@ -272,13 +241,11 @@ class ServiceCore:
         self,
         cache_dir: str | None = None,
         max_cache_mb: float | None = None,
-        jobs: int = 1,
         compute_timeout_s: float = 600.0,
         read_timeout_s: float = DEFAULT_READ_TIMEOUT_S,
         drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S,
     ) -> None:
         self.cache = SweepCache(cache_dir, max_bytes=max_cache_bytes(max_cache_mb))
-        self.jobs = max(1, int(jobs))
         self.compute_timeout_s = float(compute_timeout_s)
         self.read_timeout_s = float(read_timeout_s)
         self.drain_timeout_s = float(drain_timeout_s)
@@ -392,19 +359,10 @@ class ServiceCore:
 
     # -------------------------------------------------------------- computing
 
-    def handle_compute(self, payload: Mapping[str, Any]) -> dict[str, Any]:
-        """One ``/v1/compute`` request as the JSON response body."""
-        arrays, served = self.compute_arrays(payload)
-        return {"status": "ok", "served": served, "arrays": encode_arrays(arrays)}
-
     def compute_arrays(
         self, payload: Mapping[str, Any]
     ) -> tuple[dict[str, np.ndarray], str]:
-        """Dispatch one compute request; returns ``(arrays, served)``.
-
-        Protocol-agnostic: the handler encodes the result as JSON or as
-        a binary frame depending on what the client accepts.
-        """
+        """Dispatch one compute request; returns ``(arrays, served)``."""
         arrays, served, _key = self.compute_with_key(payload)
         return arrays, served
 
@@ -510,27 +468,22 @@ class ServiceCore:
         self._count("hits")
         return arrays, level
 
-    def memory_response(
-        self, method: str, path: str, headers: Mapping[str, str], body: bytes
-    ) -> Response | None:
-        """A warm binary-frame ``/v1/compute`` hit from the memory tier.
+    def memory_response(self, method: str, path: str, body: bytes) -> Response | None:
+        """A warm ``/v1/compute`` hit from the memory tier.
 
-        ``None`` for anything else — other routes, JSON responses, an
-        unknown body, an entry not in memory.  Such a hit costs a dict
-        probe and a frame header that aliases the cached arrays, so a
-        transport may answer it in place of :meth:`handle_request`
-        without blocking on compute, disk or encoding; the response and
-        counters are the same as that method's.
+        ``None`` for anything else — other routes, an unknown body, an
+        entry not in memory.  Such a hit costs a dict probe and a frame
+        header that aliases the cached arrays, so a transport may answer
+        it in place of :meth:`handle_request` without blocking on
+        compute, disk or encoding; the response and counters are the
+        same as that method's.
         """
         if method != "POST" or path != "/v1/compute":
-            return None
-        accept = headers.get("accept", "")
-        if not self._accepts_frame(accept):
             return None
         fast = self.fast_serve(body, memory_only=True)
         if fast is None:
             return None
-        return self._respond_arrays(fast[0], fast[1], accept)
+        return self._respond_arrays(*fast)
 
     def remember_request(self, body: bytes, key: str) -> None:
         """Memoize body → fingerprint after a successful full serve."""
@@ -642,9 +595,7 @@ class ServiceCore:
             results = plan_graph(
                 [mnode for _, mnode, _ in members],
                 cache=self.cache,
-                executor=NumpyExecutor(
-                    jobs=self.jobs, shard_threshold=_SHARD_THRESHOLD
-                ),
+                executor=NumpyExecutor(),
                 lookup=False,
             ).execute()
         except Exception as exc:
@@ -811,52 +762,41 @@ class ServiceCore:
         return Response(200, FRAME_CONTENT_TYPE, encode_frame(arrays, meta))
 
     def _respond_arrays(
-        self, arrays: Mapping[str, np.ndarray], served: str, accept: str
+        self, arrays: Mapping[str, np.ndarray], served: str
     ) -> Response:
-        if self._accepts_frame(accept):
-            return self._respond_frame(arrays, {"status": "ok", "served": served})
-        return self._respond_json(
-            {"status": "ok", "served": served, "arrays": encode_arrays(arrays)}
-        )
-
-    def _accepts_frame(self, accept: str) -> bool:
-        """Did the client negotiate the binary array frame?"""
-        return FRAME_CONTENT_TYPE in accept
+        return self._respond_frame(arrays, {"status": "ok", "served": served})
 
     @staticmethod
     def _cache_key(path: str) -> str | None:
         key = path[len("/v1/cache/") :]
         return key if _KEY_RE.fullmatch(key) else None
 
-    def handle_request(
-        self, method: str, path: str, headers: Mapping[str, str], body: bytes
-    ) -> Response:
+    def handle_request(self, method: str, path: str, body: bytes) -> Response:
         """Route one HTTP request; never raises.
 
-        ``headers`` uses lower-case keys (both transports normalize).
-        This is the single entry point both backends call — typically
-        from a worker thread, so everything here must stay thread-safe.
+        No route reads request headers: every array goes out as a
+        binary frame whatever the client's ``Accept``.  The transport
+        calls this from a worker thread, so everything here must stay
+        thread-safe.
         """
         try:
             if method == "GET":
-                return self._handle_get(path, headers)
+                return self._handle_get(path)
             if method == "PUT":
-                return self._handle_put(path, headers, body)
+                return self._handle_put(path, body)
             if method == "POST":
-                return self._handle_post(path, headers, body)
+                return self._handle_post(path, body)
             return self.error_response(f"unsupported method {method}", 501)
         except Exception as exc:  # the transport must always get a response
             return self.error_response(f"{type(exc).__name__}: {exc}", 500)
 
-    def _handle_get(self, path: str, headers: Mapping[str, str]) -> Response:
+    def _handle_get(self, path: str) -> Response:
         if path == "/healthz":
-            # ``protocols`` is the negotiation advertisement: a client
-            # probing an old server will not find "frame" here.
             return self._respond_json(
                 {
                     "status": "ok",
                     "service": "repro-sweepd",
-                    "protocols": ["json", "frame"],
+                    "protocols": ["frame"],
                     "kinds": list(COMPUTE_KINDS),
                     "backend": self.backend,
                     "read_timeout_s": self.read_timeout_s,
@@ -871,44 +811,28 @@ class ServiceCore:
             arrays, _level = self.cache.lookup_level(key)
             if arrays is None:
                 return self.error_response("no such entry", 404)
-            if self._accepts_frame(headers.get("accept", "")):
-                return self._respond_frame(arrays, {"status": "ok"})
-            buffer = io.BytesIO()
-            np.savez(buffer, **arrays)
-            return Response(200, "application/octet-stream", [buffer.getvalue()])
+            return self._respond_frame(arrays, {"status": "ok"})
         return self.error_response(f"no route {path}", 404)
 
-    def _handle_put(
-        self, path: str, headers: Mapping[str, str], body: bytes
-    ) -> Response:
+    def _handle_put(self, path: str, body: bytes) -> Response:
         if not path.startswith("/v1/cache/"):
             return self.error_response(f"no route {path}", 404)
         key = self._cache_key(path)
         if key is None:
             return self.error_response("malformed cache key", 400)
-        if headers.get("content-type", "").startswith(FRAME_CONTENT_TYPE):
-            try:
-                arrays, _meta = decode_frame(body)
-            except FrameError as exc:
-                return self.error_response(str(exc), 400)
-        else:
-            try:
-                with np.load(io.BytesIO(body), allow_pickle=False) as npz:
-                    arrays = {name: npz[name] for name in npz.files}
-            except Exception:
-                return self.error_response("body is not a readable .npz archive", 400)
+        try:
+            arrays, _meta = decode_frame(body)
+        except FrameError as exc:
+            return self.error_response(str(exc), 400)
         self.cache.store(key, arrays)
         return self._respond_json({"status": "ok", "stored": key})
 
-    def _handle_post(
-        self, path: str, headers: Mapping[str, str], body: bytes
-    ) -> Response:
+    def _handle_post(self, path: str, body: bytes) -> Response:
         if path != "/v1/compute":
             return self.error_response(f"no route {path}", 404)
-        accept = headers.get("accept", "")
         fast = self.fast_serve(body)
         if fast is not None:
-            return self._respond_arrays(fast[0], fast[1], accept)
+            return self._respond_arrays(*fast)
         try:
             payload = json.loads(body or b"{}")
         except json.JSONDecodeError as exc:
@@ -920,183 +844,4 @@ class ServiceCore:
         except Exception as exc:  # compute failures are the server's 500s
             return self.error_response(f"{type(exc).__name__}: {exc}", 500)
         self.remember_request(body, key)
-        return self._respond_arrays(arrays, served, accept)
-
-
-class SweepServer(ServiceCore):
-    """``repro serve --backend thread``: the threaded transport.
-
-    One OS thread per connection on stdlib ``ThreadingHTTPServer``; the
-    default backend.  All request semantics live in the shared
-    :class:`ServiceCore` base.
-
-    Parameters
-    ----------
-    host, port:
-        Bind address; ``port=0`` picks an ephemeral port (tests, the
-        benchmark harness).
-    **core keyword arguments**:
-        See :class:`ServiceCore`.
-    """
-
-    backend = "thread"
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = DEFAULT_PORT,
-        cache_dir: str | None = None,
-        max_cache_mb: float | None = None,
-        jobs: int = 1,
-        compute_timeout_s: float = 600.0,
-        read_timeout_s: float = DEFAULT_READ_TIMEOUT_S,
-        drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S,
-    ) -> None:
-        super().__init__(
-            cache_dir=cache_dir,
-            max_cache_mb=max_cache_mb,
-            jobs=jobs,
-            compute_timeout_s=compute_timeout_s,
-            read_timeout_s=read_timeout_s,
-            drain_timeout_s=drain_timeout_s,
-        )
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._httpd.app = self  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-
-    # ---------------------------------------------------------------- address
-
-    @property
-    def host(self) -> str:
-        return str(self._httpd.server_address[0])
-
-    @property
-    def port(self) -> int:
-        return int(self._httpd.server_address[1])
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    # ---------------------------------------------------------------- running
-
-    def serve_forever(self) -> None:
-        self._httpd.serve_forever()
-
-    def start_background(self) -> "SweepServer":
-        """Serve on a daemon thread (tests, benches, the quickstart)."""
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
-        self._thread.start()
-        return self
-
-    def shutdown(self) -> None:
-        self._httpd.shutdown()
-        self.close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-
-    def close(self, drain_timeout_s: float | None = None) -> None:
-        """Graceful stop: close the listener, drain in-flight, flush.
-
-        Safe after ``serve_forever`` returned (the CLI path) and from
-        :meth:`shutdown` (the background-thread path).  New requests
-        racing the drain get a 503; requests already computing finish
-        and their responses are written before this returns (bounded by
-        ``drain_timeout_s``).
-        """
-        self._httpd.server_close()
-        self.drain(drain_timeout_s)
-        self.flush()
-
-    def __enter__(self) -> "SweepServer":
-        return self.start_background()
-
-    def __exit__(self, *exc: object) -> None:
-        self.shutdown()
-
-
-# --------------------------------------------------------------------------
-# HTTP plumbing (the threaded transport's adapter)
-# --------------------------------------------------------------------------
-
-
-#: Response bodies at most this large are coalesced into a single
-#: socket write; a warm hit's latency is syscalls and packets, not
-#: memcpy.
-_GATHER_BYTES = 256 * 1024
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Thin adapter: socket + HTTP parsing in, ``ServiceCore`` out."""
-
-    server_version = "repro-sweepd/1"
-    protocol_version = "HTTP/1.1"
-    #: Keep-alive clients wait for every response byte before the next
-    #: request; letting Nagle buffer the tail of a response behind a
-    #: delayed ACK turns a ~1 ms round trip into ~40 ms.
-    disable_nagle_algorithm = True
-
-    @property
-    def app(self) -> ServiceCore:
-        return self.server.app  # type: ignore[attr-defined]
-
-    def setup(self) -> None:
-        # The stdlib applies ``timeout`` as the connection's socket
-        # timeout; a stalled read (slowloris half-header, idle
-        # keep-alive) then raises and the connection is closed.
-        self.timeout = self.app.read_timeout_s
-        super().setup()
-
-    def log_message(self, format: str, *args: object) -> None:
-        pass  # the daemon is quiet; /v1/stats is the observability surface
-
-    # ------------------------------------------------------------- responses
-
-    def _write_response(self, response: Response) -> None:
-        """Head and body in one write when small: one segment to wake on."""
-        if response.close:
-            self.close_connection = True
-        if response.content_length <= _GATHER_BYTES:
-            self.wfile.write(response.head_bytes() + response.body_bytes())
-        else:
-            self.wfile.write(response.head_bytes())
-            for chunk in response.chunks:
-                self.wfile.write(chunk)
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length") or 0)
-        return self.rfile.read(length)
-
-    # --------------------------------------------------------------- methods
-
-    def _handle(self, method: str) -> None:
-        """One request through the shared core, bracketed for draining."""
-        if not self.app.begin_request():
-            self._write_response(
-                self.app.error_response("server is draining", 503, close=True)
-            )
-            return
-        try:
-            body = self._read_body()
-            headers = {key.lower(): value for key, value in self.headers.items()}
-            response = self.app.handle_request(method, self.path, headers, body)
-            self._write_response(response)
-        except TimeoutError:
-            # A client stalled mid-body: close quietly, like the
-            # stdlib does for a stalled request line.
-            self.close_connection = True
-        finally:
-            # After the write, so a graceful drain covers the response
-            # bytes, not just the compute.
-            self.app.end_request()
-
-    def do_GET(self) -> None:
-        self._handle("GET")
-
-    def do_PUT(self) -> None:
-        self._handle("PUT")
-
-    def do_POST(self) -> None:
-        self._handle("POST")
+        return self._respond_arrays(arrays, served)

@@ -47,7 +47,7 @@ class TestShippedTree:
         guarded = {(r["class"], r["attribute"]) for r in rows}
         assert ("repro.batch.cache:SweepCache", "_memory") in guarded
         assert ("repro.batch.cache:SweepCache", "stats") in guarded
-        assert ("repro.service.server:SweepServer", "_counters") in guarded
+        assert ("repro.service.aserver:AsyncSweepServer", "_counters") in guarded
 
 
 class TestReporters:

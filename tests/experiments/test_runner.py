@@ -107,9 +107,9 @@ class TestWorkerFailures:
 class TestRunnerServer:
     @pytest.fixture()
     def server(self):
-        from repro.service import SweepServer
+        from repro.service import AsyncSweepServer
 
-        with SweepServer(port=0) as srv:
+        with AsyncSweepServer(port=0) as srv:
             yield srv
 
     def test_server_reports_match_offline_and_totals_match_single_process(

@@ -18,7 +18,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
-from repro.service import RemoteSweepCache, ServiceClient, ServiceError, SweepServer
+from repro.service import AsyncSweepServer, RemoteSweepCache, ServiceClient, ServiceError
 
 SIDES = list(range(64, 256, 16))
 
@@ -239,7 +239,7 @@ class TestBackoffJitter:
 class TestAgainstTheRealDaemon:
     def test_pool_survives_concurrent_clients_and_stays_exact(self):
         sides = SIDES
-        with SweepServer(port=0) as server:
+        with AsyncSweepServer(port=0) as server:
             shared = ServiceClient(server.url, pool_size=2)
             results = []
             lock = threading.Lock()
@@ -261,7 +261,7 @@ class TestAgainstTheRealDaemon:
                 assert curve.speedup.tobytes() == results[0].speedup.tobytes()
 
     def test_client_close_drops_pooled_connections(self):
-        with SweepServer(port=0) as server:
+        with AsyncSweepServer(port=0) as server:
             client = ServiceClient(server.url)
             client.health()
             client.close()

@@ -1,7 +1,7 @@
 """/v1/stats under concurrent compute traffic: the stats-read race, live.
 
 Regression for the unguarded ``cache.stats`` read the ``lock-discipline``
-rule flagged in ``SweepServer.stats_payload``: polling stats while
+rule flagged in ``ServiceCore.stats_payload``: polling stats while
 computes land must always observe a *consistent* snapshot — aggregate
 counters that add up — never a torn one.
 """
@@ -12,14 +12,14 @@ import threading
 
 import pytest
 
-from repro.service import ServiceClient, SweepServer
+from repro.service import AsyncSweepServer, ServiceClient
 
 SIDES = list(range(8, 40))
 
 
 @pytest.fixture
 def server():
-    with SweepServer(port=0) as srv:
+    with AsyncSweepServer(port=0) as srv:
         yield srv
 
 
