@@ -1,5 +1,7 @@
 """Public API surface: the README quickstart must work as written."""
 
+import importlib
+
 import pytest
 
 import repro
@@ -9,6 +11,12 @@ class TestPublicSurface:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    @pytest.mark.parametrize("module", ["repro.batch", "repro.graph", "repro.service"])
+    def test_subpackage_names_resolve(self, module):
+        package = importlib.import_module(module)
+        for name in package.__all__:
+            assert hasattr(package, name), f"{module}.{name}"
 
     def test_version(self):
         assert repro.__version__.count(".") == 2
