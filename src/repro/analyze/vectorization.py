@@ -26,6 +26,7 @@ vectorized.
 from __future__ import annotations
 
 import ast
+import fnmatch
 from typing import Iterable, Iterator
 
 from .framework import Finding, Project, Rule, register_rule
@@ -33,13 +34,15 @@ from .framework import Finding, Project, Rule, register_rule
 __all__ = ["VectorizationRule", "DEFAULT_SCOPE"]
 
 #: Where the array-first contract is load-bearing: the curve modules and
-#: the numpy graph executor.  (The oracle executor is scalar *by
-#: construction* — it exists to cross-check the vectorized path.)
+#: every request family's numpy kernel.  An entry is a module, or
+#: ``module:pattern`` for the top-level functions and classes whose
+#: names match the glob.  (The oracle kernels are scalar *by
+#: construction* — they exist to cross-check the vectorized path.)
 DEFAULT_SCOPE = (
     "repro.batch.curves",
     "repro.batch.analysis",
     "repro.batch.sim",
-    "repro.graph.executors:NumpyExecutor",
+    "repro.graph.families:_numpy_*",
 )
 
 #: ndarray methods whose result is still an array.
@@ -218,16 +221,16 @@ class VectorizationRule(Rule):
         self, project: Project
     ) -> Iterator[tuple[str, str, ast.FunctionDef | ast.AsyncFunctionDef]]:
         for entry in self.scope:
-            module_name, _, class_name = entry.partition(":")
+            module_name, _, pattern = entry.partition(":")
             module = project.get(module_name)
             if module is None:
                 continue
             for node in module.tree.body:
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if not class_name:
+                    if not pattern or fnmatch.fnmatchcase(node.name, pattern):
                         yield module_name, node.name, node
                 elif isinstance(node, ast.ClassDef):
-                    if class_name and node.name != class_name:
+                    if pattern and not fnmatch.fnmatchcase(node.name, pattern):
                         continue
                     for item in node.body:
                         if isinstance(

@@ -131,32 +131,6 @@ class AllocationCurve:
         )
 
 
-def _allocation_request(
-    machine: Architecture,
-    stencil: Stencil,
-    kind: PartitionKind,
-    n: np.ndarray,
-    t_flop: float,
-    max_processors: float | None,
-    integer: bool,
-) -> tuple:
-    """The cache fingerprint request for one allocation-curve call.
-
-    Shared by :func:`optimal_allocation_curve` and the graph's
-    allocation node so both paths hit the same cache entries.
-    """
-    return (
-        "optimal_allocation_curve",
-        machine,
-        stencil,
-        kind,
-        n,
-        ("float", repr(float(t_flop))),
-        None if max_processors is None else ("float", repr(float(max_processors))),
-        bool(integer),
-    )
-
-
 def _admissible_range_grid(
     n: np.ndarray,
     n2: np.ndarray,

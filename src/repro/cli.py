@@ -497,9 +497,10 @@ def _plan_via_server(args: argparse.Namespace) -> int:
 def _plan_explain(args: argparse.Namespace, machine) -> int:
     """``plan --explain``: the graph a capacity plan builds, unexecuted.
 
-    Mirrors the daemon's ``plan`` bundle: one max-useful threshold node
-    per (stencil, partition) pair plus the minimal-grid-side node over
-    the machine-size axis (``--grid`` or the default sizes).
+    One max-useful threshold node per (stencil, partition) pair plus the
+    minimal-grid-side node over the machine-size axis (``--grid`` or the
+    default sizes) — the pieces the daemon's ``plan`` family computes as
+    one bundle.
     """
     from repro.graph import nodes as graph_nodes
     from repro.graph.planner import plan as plan_graph

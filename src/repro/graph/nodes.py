@@ -9,14 +9,16 @@ Requests built here form small DAGs (sweep → analysis → reduction) that
 
 Two node classes exist:
 
-* **evaluation leaves** — one analysis family evaluated over a 1-D
-  axis the result is elementwise in (grid sides for allocation curves,
-  processor counts for isoefficiency searches, …).  Leaves carry the
-  *same* cache-request tuple the eager analysis layer has always used,
-  so graph-planned results and pre-graph cache stores share entries,
-  plus a *compatibility* fingerprint: two leaves with equal ``compat``
-  differ only in their axis and may be fused onto one vectorized
-  evaluation over the union axis.
+* **evaluation leaves** — one request family evaluated over the 1-D
+  axis its result is elementwise in (grid sides for allocation curves,
+  processor counts for isoefficiency searches, …).  Each family is
+  declared once in :mod:`repro.graph.families`, and its builder here is
+  derived from that declaration.  Leaves carry the *same* cache-request
+  tuple the eager analysis layer has always used, so graph-planned
+  results and pre-graph cache stores share entries, plus a
+  *compatibility* fingerprint: two leaves with equal ``compat`` differ
+  only in their axis and may be fused onto one vectorized evaluation
+  over the union axis.
 * **reductions** — pure array-to-array post-processing (speedup
   ratios, isoefficiency exponent fits) over child nodes.  Reductions
   are cheap and never cached; their children are.
@@ -29,9 +31,10 @@ layer already guarantees.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,29 +42,27 @@ from repro.batch.cache import fingerprint
 from repro.batch.engine import SweepSpec
 from repro.core.parameters import DEFAULT_T_FLOP
 from repro.errors import InvalidParameterError
+from repro.graph.families import REQUIRED, family_for, machine_label
 from repro.machines.base import Architecture
-from repro.machines.bus import BusArchitecture
 from repro.stencils.perimeter import PartitionKind
 from repro.stencils.stencil import Stencil
 
 __all__ = [
     "Node",
+    "build",
     "allocation_curve",
     "max_useful_processors",
     "minimal_problem_size",
     "grid_for_efficiency",
     "sweep",
     "plan_grid",
+    "capacity_plan",
     "sim_sweep",
     "sim_validate",
     "speedup_ratio",
     "strip_square_ratio",
     "isoefficiency_fit",
 ]
-
-#: Families whose result arrays are 2-D surfaces sliced on axis 0; every
-#: other family's arrays are 1-D and parallel to the node's axis.
-SURFACE_OPS = frozenset({"sweep"})
 
 #: Reduction ops (uncached, executed by the planner from child results).
 REDUCE_OPS = frozenset({"ratio", "isoefficiency_fit"})
@@ -83,13 +84,13 @@ class Node:
     args: Mapping[str, Any]
     #: The cache-request tuple (exactly the eager layer's), or ``None``
     #: for reductions, which are never cached.
-    request: tuple | None
+    request: tuple | None = None
     #: Fusion-compatibility fingerprint: nodes sharing it differ only in
     #: their axis.  ``None`` marks a non-fusable node.
-    compat: str | None
+    compat: str | None = None
     #: The 1-D axis the result is elementwise over (``None`` for
-    #: reductions).
-    axis: np.ndarray | None
+    #: reductions and non-fusable leaves).
+    axis: np.ndarray | None = None
     #: Child nodes (reductions only).
     inputs: tuple["Node", ...] = ()
     #: Human-readable summary for ``--explain`` output.
@@ -121,217 +122,41 @@ class Node:
 
 
 # --------------------------------------------------------------------------
-# Shared validation / labelling
+# Evaluation leaves: one builder per family, derived from its declaration
 # --------------------------------------------------------------------------
 
-
-def _machine_label(machine: Architecture) -> str:
-    """Catalog name when the machine is a preset, else its class name."""
-    from repro.machines.catalog import DEFAULT_MACHINES
-
-    for name, preset in DEFAULT_MACHINES.items():
-        if preset is machine:
-            return name
-    return type(machine).__name__
+#: Family op -> the name of its builder in this module.
+_PUBLIC: dict[str, str] = {}
 
 
-def _grid_axis(grid_sides: Sequence[int]) -> np.ndarray:
-    n = np.asarray(grid_sides, dtype=float)
-    if n.ndim != 1 or n.size == 0:
-        raise InvalidParameterError("grid_sides must be a non-empty 1-D axis")
-    if np.any(n < 1):
-        raise InvalidParameterError("grid sides must be >= 1")
-    return n
+def _publish(name: str, op: str) -> Callable[..., Node]:
+    family = family_for(op)
 
+    def build(*args: Any, **kwargs: Any) -> Node:
+        return family.node(*args, **kwargs)
 
-def _float_tag(value: float) -> tuple:
-    return ("float", repr(float(value)))
-
-
-# --------------------------------------------------------------------------
-# Evaluation leaves
-# --------------------------------------------------------------------------
-
-
-def allocation_curve(
-    machine: Architecture,
-    stencil: Stencil,
-    kind: PartitionKind,
-    grid_sides: Sequence[int],
-    t_flop: float = DEFAULT_T_FLOP,
-    max_processors: float | None = None,
-    integer: bool = False,
-) -> Node:
-    """Lazy :func:`repro.batch.analysis.optimal_allocation_curve`."""
-    from repro.batch.analysis import _allocation_request
-
-    n = _grid_axis(grid_sides)
-    if max_processors is not None and max_processors < 1:
-        raise InvalidParameterError("max_processors must be >= 1")
-    return Node(
-        op="allocation_curve",
-        args={
-            "machine": machine,
-            "stencil": stencil,
-            "kind": kind,
-            "t_flop": float(t_flop),
-            "max_processors": max_processors,
-            "integer": bool(integer),
-        },
-        request=_allocation_request(
-            machine, stencil, kind, n, t_flop, max_processors, integer
-        ),
-        compat=fingerprint(
-            (
-                "fuse",
-                "allocation_curve",
-                machine,
-                stencil,
-                kind,
-                _float_tag(t_flop),
-                None if max_processors is None else _float_tag(max_processors),
-                bool(integer),
-            )
-        ),
-        axis=n,
-        detail=(
-            f"allocation_curve[{_machine_label(machine)} {stencil.name} "
-            f"{kind.value} n_axis={n.size} integer={bool(integer)}]"
-        ),
+    build.__name__ = build.__qualname__ = name
+    build.__doc__ = family.doc
+    build.__signature__ = inspect.Signature(  # type: ignore[attr-defined]
+        inspect.Parameter(
+            p.name,
+            inspect.Parameter.POSITIONAL_OR_KEYWORD,
+            default=inspect.Parameter.empty if p.default is REQUIRED else p.default,
+        )
+        for p in family.params
     )
+    _PUBLIC[op] = name
+    return build
 
 
-def max_useful_processors(
-    machine: BusArchitecture,
-    stencil: Stencil,
-    kind: PartitionKind,
-    grid_sides: Sequence[int],
-    t_flop: float = DEFAULT_T_FLOP,
-) -> Node:
-    """Lazy :func:`repro.batch.analysis.max_useful_processors_curve`."""
-    n = np.asarray(grid_sides, dtype=float)
-    if np.any(n < 1):
-        raise InvalidParameterError("grid sides must be >= 1")
-    return Node(
-        op="max_useful",
-        args={
-            "machine": machine,
-            "stencil": stencil,
-            "kind": kind,
-            "t_flop": float(t_flop),
-        },
-        request=(
-            "max_useful_processors_curve",
-            machine,
-            stencil,
-            kind,
-            n,
-            _float_tag(t_flop),
-        ),
-        compat=fingerprint(
-            ("fuse", "max_useful", machine, stencil, kind, _float_tag(t_flop))
-        ),
-        axis=n,
-        detail=(
-            f"max_useful[{_machine_label(machine)} {stencil.name} "
-            f"{kind.value} n_axis={n.size}]"
-        ),
-    )
-
-
-def minimal_problem_size(
-    machine: BusArchitecture,
-    stencil: Stencil,
-    kind: PartitionKind,
-    n_processors: Sequence[int],
-    t_flop: float = DEFAULT_T_FLOP,
-) -> Node:
-    """Lazy :func:`repro.batch.analysis.minimal_problem_size_curve`."""
-    p = np.asarray(n_processors, dtype=float)
-    if np.any(p < 1):
-        raise InvalidParameterError("n_processors must be >= 1")
-    return Node(
-        op="n2_min",
-        args={
-            "machine": machine,
-            "stencil": stencil,
-            "kind": kind,
-            "t_flop": float(t_flop),
-        },
-        request=(
-            "minimal_problem_size_curve",
-            machine,
-            stencil,
-            kind,
-            p,
-            _float_tag(t_flop),
-        ),
-        compat=fingerprint(
-            ("fuse", "n2_min", machine, stencil, kind, _float_tag(t_flop))
-        ),
-        axis=p,
-        detail=(
-            f"n2_min[{_machine_label(machine)} {stencil.name} "
-            f"{kind.value} p_axis={p.size}]"
-        ),
-    )
-
-
-def grid_for_efficiency(
-    machine: Architecture,
-    stencil: Stencil,
-    kind: PartitionKind,
-    processor_counts: Sequence[int],
-    target_efficiency: float,
-    t_flop: float = DEFAULT_T_FLOP,
-    n_max: int = 1 << 18,
-) -> Node:
-    """Lazy :func:`repro.batch.analysis.grid_for_efficiency_curve`."""
-    if not 0 < target_efficiency < 1:
-        raise InvalidParameterError("target efficiency must be in (0, 1)")
-    p_int = np.asarray(processor_counts, dtype=int)
-    if p_int.ndim != 1 or p_int.size == 0:
-        raise InvalidParameterError("processor_counts must be a non-empty 1-D axis")
-    if np.any(p_int < 2):
-        raise InvalidParameterError("isoefficiency needs at least 2 processors")
-    return Node(
-        op="grid_for_efficiency",
-        args={
-            "machine": machine,
-            "stencil": stencil,
-            "kind": kind,
-            "target_efficiency": float(target_efficiency),
-            "t_flop": float(t_flop),
-            "n_max": int(n_max),
-        },
-        request=(
-            "grid_for_efficiency_curve",
-            machine,
-            stencil,
-            kind,
-            p_int,
-            _float_tag(target_efficiency),
-            _float_tag(t_flop),
-            int(n_max),
-        ),
-        compat=fingerprint(
-            (
-                "fuse",
-                "grid_for_efficiency",
-                machine,
-                stencil,
-                kind,
-                _float_tag(target_efficiency),
-                _float_tag(t_flop),
-                int(n_max),
-            )
-        ),
-        axis=p_int,
-        detail=(
-            f"grid_for_efficiency[{_machine_label(machine)} {stencil.name} "
-            f"{kind.value} e={target_efficiency:g} p_axis={p_int.size}]"
-        ),
-    )
+allocation_curve = _publish("allocation_curve", "allocation_curve")
+max_useful_processors = _publish("max_useful_processors", "max_useful")
+minimal_problem_size = _publish("minimal_problem_size", "n2_min")
+grid_for_efficiency = _publish("grid_for_efficiency", "grid_for_efficiency")
+plan_grid = _publish("plan_grid", "plan_grid")
+capacity_plan = _publish("capacity_plan", "plan")
+sim_sweep = _publish("sim_sweep", "sim_sweep")
+sim_validate = _publish("sim_validate", "sim_validate")
 
 
 def sweep(spec: SweepSpec) -> Node:
@@ -342,198 +167,19 @@ def sweep(spec: SweepSpec) -> Node:
     (same processors, machines, stencil, kind, flop time) fuse over the
     union of their grid-side axes.
     """
-    return Node(
-        op="sweep",
-        args={"spec": spec},
-        request=("run_sweep", spec),
-        compat=fingerprint(
-            (
-                "fuse",
-                "sweep",
-                spec.processors,
-                spec.machines,
-                spec.stencil,
-                spec.kind,
-                _float_tag(spec.t_flop),
-            )
-        ),
-        axis=np.asarray(spec.grid_sides, dtype=int),
-        detail=(
-            f"sweep[{len(spec.machines)} machines {spec.stencil.name} "
-            f"{spec.kind.value} n_axis={len(spec.grid_sides)} "
-            f"p_axis={len(spec.processors)}]"
-        ),
-    )
+    return family_for("sweep").node(spec)
 
 
-def plan_grid(machine: BusArchitecture, n_processors: Sequence[int]) -> Node:
-    """Lazy capacity-plan curve: minimal grid sides over a machine-size axis.
+def build(op: str, args: Mapping[str, Any]) -> Node:
+    """One leaf from keyword arguments: the daemon's builder.
 
-    The request tuple matches the CLI's historical ``("plan_grid", …)``
-    entry, so stores warmed by either path serve the other.
+    A family published above builds through its module attribute, looked
+    up on every call, so whatever is bound to that name (a tracing
+    wrapper, say) sees served requests too; any other registered family
+    builds through its declaration.
     """
-    p = np.asarray(n_processors, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise InvalidParameterError("n_processors must be a non-empty 1-D axis")
-    if np.any(p < 1):
-        raise InvalidParameterError("n_processors must be >= 1")
-    return Node(
-        op="plan_grid",
-        args={"machine": machine},
-        request=("plan_grid", machine, p),
-        compat=fingerprint(("fuse", "plan_grid", machine)),
-        axis=p,
-        detail=f"plan_grid[{_machine_label(machine)} p_axis={p.size}]",
-    )
-
-
-def sim_sweep(
-    machine: Architecture,
-    stencil: Stencil,
-    kind: PartitionKind,
-    n: int,
-    n_processors: int,
-    seeds: Sequence[int],
-    t_flop: float = DEFAULT_T_FLOP,
-    mode: str = "barrier",
-    jitter: float = 0.0,
-) -> Node:
-    """Lazy :func:`repro.batch.sim.simulate_replicas` over a seed axis.
-
-    One (machine, n, P) configuration, many replicas: the node is
-    elementwise in its seed axis (the counter RNG gives every replica an
-    independent stream), so sim sweeps sharing a configuration fuse over
-    the union of their seed axes and slice back out bit-identically.
-
-    Machines canonicalize through :func:`repro.batch.sim.machine_sim_tag`
-    — raw fields, *not* the closed-form bus encoding — because the
-    simulator charges ``b`` and ``c`` separately; see that function.
-    """
-    from repro.batch.sim import ReplicaBatchSpec, machine_sim_tag, replica_request
-
-    # Seeds stay exact Python ints until the final uint64 cast: routing
-    # them through np.asarray would promote a list mixing small ints with
-    # values past 2**63 to float64 and silently round the top of the
-    # seed range (2**64 - 1 -> 2**64).
-    try:
-        seed_list = [int(s) for s in seeds]
-    except (TypeError, ValueError):
-        raise InvalidParameterError(
-            "seeds must be a non-empty 1-D axis of integers"
-        ) from None
-    if not seed_list:
-        raise InvalidParameterError("seeds must be a non-empty 1-D axis")
-    # Spec construction validates n, P, seeds, mode, t_flop, and jitter
-    # (before any uint64 conversion could wrap a negative seed); its
-    # request tuple is exactly the offline cached path's, so graph
-    # stores and simulate_replicas_cached stores share entries.
-    spec = ReplicaBatchSpec.build(
-        machine, stencil, kind, int(n), int(n_processors), seed_list,
-        t_flop=float(t_flop), mode=str(mode), jitter=float(jitter),
-    )
-    seed_axis = np.asarray(seed_list, dtype=np.uint64)
-    return Node(
-        op="sim_sweep",
-        args={
-            "machine": machine,
-            "stencil": stencil,
-            "kind": kind,
-            "n": int(n),
-            "n_processors": int(n_processors),
-            "t_flop": float(t_flop),
-            "mode": str(mode),
-            "jitter": float(jitter),
-        },
-        request=replica_request(spec),
-        compat=fingerprint(
-            (
-                "fuse",
-                "sim_sweep",
-                machine_sim_tag(machine),
-                stencil,
-                kind,
-                int(n),
-                int(n_processors),
-                _float_tag(t_flop),
-                str(mode),
-                _float_tag(jitter),
-            )
-        ),
-        axis=seed_axis,
-        detail=(
-            f"sim_sweep[{_machine_label(machine)} {stencil.name} "
-            f"{kind.value} n={int(n)} p={int(n_processors)} "
-            f"seeds={seed_axis.size} mode={mode} jitter={float(jitter):g}]"
-        ),
-    )
-
-
-def sim_validate(
-    machine: Architecture,
-    stencil: Stencil,
-    kind: PartitionKind,
-    n: int,
-    processor_counts: Sequence[int],
-    t_flop: float = DEFAULT_T_FLOP,
-    mode: str = "barrier",
-) -> Node:
-    """Lazy :func:`repro.sim.validate.validation_arrays` over a P axis.
-
-    Each processor count's analytic and simulated cycle times depend
-    only on that count, so validation sweeps for one (machine, stencil,
-    n) fuse over the union of their processor axes.  The simulated
-    column is the jitter-free batched replica path, pinned bit-equal to
-    the event-level oracle.
-    """
-    from repro.batch.sim import machine_sim_tag
-
-    p_axis = np.asarray(processor_counts, dtype=np.int64)
-    if p_axis.ndim != 1 or p_axis.size == 0:
-        raise InvalidParameterError(
-            "processor_counts must be a non-empty 1-D axis"
-        )
-    if np.any(p_axis < 1):
-        raise InvalidParameterError("processor counts must be >= 1")
-    if int(n) < 1:
-        raise InvalidParameterError("grid side n must be >= 1")
-    return Node(
-        op="sim_validate",
-        args={
-            "machine": machine,
-            "stencil": stencil,
-            "kind": kind,
-            "n": int(n),
-            "t_flop": float(t_flop),
-            "mode": str(mode),
-        },
-        request=(
-            "sim_validate",
-            machine_sim_tag(machine),
-            stencil,
-            kind,
-            int(n),
-            p_axis,
-            _float_tag(t_flop),
-            str(mode),
-        ),
-        compat=fingerprint(
-            (
-                "fuse",
-                "sim_validate",
-                machine_sim_tag(machine),
-                stencil,
-                kind,
-                int(n),
-                _float_tag(t_flop),
-                str(mode),
-            )
-        ),
-        axis=p_axis,
-        detail=(
-            f"sim_validate[{_machine_label(machine)} {stencil.name} "
-            f"{kind.value} n={int(n)} p_axis={p_axis.size} mode={mode}]"
-        ),
-    )
+    name = _PUBLIC.get(op)
+    return (globals()[name] if name else family_for(op).node)(**args)
 
 
 # --------------------------------------------------------------------------
@@ -556,11 +202,8 @@ def speedup_ratio(
     return Node(
         op="ratio",
         args={},
-        request=None,
-        compat=None,
-        axis=None,
         inputs=(a, b),
-        detail=f"ratio[{_machine_label(machine_a)}/{_machine_label(machine_b)}]",
+        detail=f"ratio[{machine_label(machine_a)}/{machine_label(machine_b)}]",
     )
 
 
@@ -581,11 +224,8 @@ def strip_square_ratio(
     return Node(
         op="ratio",
         args={},
-        request=None,
-        compat=None,
-        axis=None,
         inputs=(st, sq),
-        detail=f"ratio[{_machine_label(machine)} strip/square]",
+        detail=f"ratio[{machine_label(machine)} strip/square]",
     )
 
 
@@ -606,12 +246,9 @@ def isoefficiency_fit(
     return Node(
         op="isoefficiency_fit",
         args={"processor_counts": tuple(int(p) for p in processor_counts)},
-        request=None,
-        compat=None,
-        axis=None,
         inputs=(sides,),
         detail=(
-            f"isoefficiency_fit[{_machine_label(machine)} {stencil.name} "
+            f"isoefficiency_fit[{machine_label(machine)} {stencil.name} "
             f"{kind.value} e={target_efficiency:g}]"
         ),
     )

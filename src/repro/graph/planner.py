@@ -38,7 +38,8 @@ from repro.batch.cache import CacheStats, SweepCache
 from repro.core.isoefficiency import IsoefficiencyFit
 from repro.errors import InvalidParameterError
 from repro.graph.executors import Executor, get_executor
-from repro.graph.nodes import SURFACE_OPS, Node
+from repro.graph.families import family_for
+from repro.graph.nodes import Node
 
 __all__ = ["Plan", "PlannedNode", "plan", "evaluate"]
 
@@ -165,12 +166,11 @@ class Plan:
                     members[0].node.op, members[0].node.args, union
                 )
                 runs += 1
+                surface = family_for(members[0].node.op).surface
                 for member in members:
                     idx = np.searchsorted(union, member.node.axis)
                     sliced = {
-                        name: (
-                            a[idx, :] if member.node.op in SURFACE_OPS else a[idx]
-                        )
+                        name: a[idx, :] if surface else a[idx]
                         for name, a in arrays.items()
                     }
                     self.results[member.node.key] = self._store(

@@ -451,8 +451,6 @@ class AsyncSweepServer(ServiceCore):
         See :class:`ServiceCore`.
     """
 
-    backend = "asyncio"
-
     def __init__(
         self,
         host: str = "127.0.0.1",

@@ -2,39 +2,41 @@
 
 Request lifecycle for ``POST /v1/compute``:
 
-1. The request canonicalizes to the *same* cache fingerprint the
-   offline analysis layer uses, so a store warmed by CLI runs serves
-   the daemon and vice versa (and bus presets sharing a closed form
-   share entries — see :mod:`repro.batch.cache`).
+1. The request's ``kind`` names a request family
+   (:mod:`repro.graph.families`); its declaration parses the request
+   into a lazy :class:`~repro.graph.nodes.Node` whose fingerprint is the
+   *same* one the offline analysis layer uses, so a store warmed by CLI
+   runs serves the daemon and vice versa (and bus presets sharing a
+   closed form share entries — see :mod:`repro.batch.cache`).  Every
+   family, the capacity plan included, takes the steps below.
 2. A fingerprint hit answers straight from the shared
    :class:`~repro.batch.SweepCache` (``served: memory|disk``).
 3. A miss consults the in-flight table: an identical request already
    computing means *wait, don't recompute* (``served: coalesced``).
 4. Cold requests then enter the batcher, which is the sweep-graph
    planner (:mod:`repro.graph`) behind a *group-commit* admission
-   queue: each request is a lazy :class:`~repro.graph.nodes.Node`
-   keyed by its fusion-compatibility group — same family, machine
-   closed form, stencil, partition kind, scalars; only the axis
-   differs.  A request whose group has no evaluation running is
-   evaluated at once, with no wait.  Compatible requests arriving while
-   that evaluation runs join one pending bucket, and when it finishes
-   the bucket's first member hands the whole bucket to the planner,
-   which fuses it onto a single vectorized evaluation over the union
-   axis.  Every family batches this way (allocation curves *and* whole
-   sweeps), not just allocations.  Each requester gets its own slice,
+   queue: each request's node is keyed by its fusion-compatibility
+   group — same family, machine closed form, stencil, partition kind,
+   scalars; only the axis differs.  A request whose group has no
+   evaluation running is evaluated at once, with no wait.  Compatible
+   requests arriving while that evaluation runs join one pending
+   bucket, and when it finishes the bucket's first member hands the
+   whole bucket to the planner, which fuses it onto a single vectorized
+   evaluation over the union axis.  Every fusable family batches this
+   way.  Each requester gets its own slice,
    stored under its own fingerprint (``served: batched`` for riders,
    ``computed`` for the one thread that did the work).  Slices are
    bit-identical to computing each request alone — every fusable
-   family is elementwise in its axis.
+   family is elementwise in its axis.  A non-fusable node (a capacity
+   plan) is a group of its own.
 
 Endpoints::
 
-    GET  /healthz             liveness + protocols + backend + timeouts
+    GET  /healthz             liveness + served kinds + timeouts
     GET  /v1/stats            cache + coalescing counters
     GET  /v1/cache/<key>      one entry as a binary frame
     PUT  /v1/cache/<key>      insert one entry (binary-frame body)
-    POST /v1/compute          allocation_curve | plan | sweep |
-                              sim_sweep | sim_validate requests
+    POST /v1/compute          one request of any registered family
 
 Everything above lives in :class:`ServiceCore`, which is
 transport-agnostic: it turns ``(method, path, body)`` into a
@@ -68,15 +70,15 @@ import re
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
-from repro.batch.cache import SweepCache, fingerprint, max_cache_bytes
-from repro.batch.engine import SweepSpec
+from repro.batch.cache import SweepCache, max_cache_bytes
 from repro.errors import InvalidParameterError, ReproError
 from repro.graph import nodes as graph_nodes
 from repro.graph.executors import NumpyExecutor
+from repro.graph.families import kinds
 from repro.graph.nodes import Node
 from repro.graph.planner import plan as plan_graph
 from repro.service.frame import (
@@ -86,24 +88,11 @@ from repro.service.frame import (
     encode_frame,
     frame_length,
 )
-from repro.service.schema import (
-    error_body,
-    json_body,
-    parse_allocation,
-    parse_plan,
-    parse_sim_sweep,
-    parse_sim_validate,
-    parse_sweep,
-)
-
-#: Every /v1/compute discriminator the core serves, advertised in
-#: ``/healthz`` so clients can probe for sim support before sending.
-COMPUTE_KINDS = ("allocation_curve", "plan", "sim_sweep", "sim_validate", "sweep")
+from repro.service.schema import error_body, json_body, parse_request
 
 __all__ = [
     "Response",
     "ServiceCore",
-    "COMPUTE_KINDS",
     "DEFAULT_PORT",
     "DEFAULT_READ_TIMEOUT_S",
     "DEFAULT_DRAIN_TIMEOUT_S",
@@ -233,9 +222,6 @@ class ServiceCore:
         Graceful-shutdown bound: how long :meth:`drain` waits for
         in-flight requests before giving up.
     """
-
-    #: Transport name advertised in ``/healthz`` — subclasses override.
-    backend = "core"
 
     def __init__(
         self,
@@ -374,70 +360,13 @@ class ServiceCore:
         The fingerprint is what the request-body memo learns: a later
         byte-identical request can be answered by one cache lookup.
         """
-        kind = payload.get("kind")
         self._count("requests")
-        if kind == "allocation_curve":
-            args = parse_allocation(payload)
-            node = graph_nodes.allocation_curve(
-                args["machine"],
-                args["stencil"],
-                args["kind"],
-                args["grid_sides"],
-                args["t_flop"],
-                args["max_processors"],
-                args["integer"],
-            )
-            arrays, served = self._serve_node(node)
-            return arrays, served, node.key
-        if kind == "plan":
-            return self._serve_plan(parse_plan(payload))
-        if kind == "sweep":
-            args = parse_sweep(payload)
-            spec = SweepSpec.across_catalog(
-                args["grid_sides"],
-                args["processors"],
-                machines=args["machines"],
-                stencil=args["stencil"],
-                kind=args["kind"],
-                t_flop=args["t_flop"],
-            )
-            node = graph_nodes.sweep(spec)
-            arrays, served = self._serve_node(node)
-            return arrays, served, node.key
-        if kind == "sim_sweep":
-            args = parse_sim_sweep(payload)
+        family, args = parse_request(payload)
+        if family.sim:
             self._count("sim")
-            node = graph_nodes.sim_sweep(
-                args["machine"],
-                args["stencil"],
-                args["kind"],
-                args["n"],
-                args["n_processors"],
-                args["seeds"],
-                args["t_flop"],
-                args["mode"],
-                args["jitter"],
-            )
-            arrays, served = self._serve_node(node)
-            return arrays, served, node.key
-        if kind == "sim_validate":
-            args = parse_sim_validate(payload)
-            self._count("sim")
-            node = graph_nodes.sim_validate(
-                args["machine"],
-                args["stencil"],
-                args["kind"],
-                args["n"],
-                args["processors"],
-                args["t_flop"],
-                args["mode"],
-            )
-            arrays, served = self._serve_node(node)
-            return arrays, served, node.key
-        expected = ", ".join(COMPUTE_KINDS)
-        raise InvalidParameterError(
-            f"unknown request kind {kind!r}; expected one of: {expected}"
-        )
+        node = graph_nodes.build(family.op, args)
+        arrays, served = self._serve(node)
+        return arrays, served, node.key
 
     # The warm-hit fast path -------------------------------------------------
 
@@ -493,21 +422,9 @@ class ServiceCore:
             while len(self._request_keys) > _REQUEST_KEY_MEMO_MAX:
                 self._request_keys.popitem(last=False)
 
-    def _serve_node(self, node: Node) -> tuple[dict[str, np.ndarray], str]:
-        """Serve one graph leaf through cache → flights → planner fusion."""
-        return self._serve(
-            node.key,
-            compute=None,
-            batch=lambda key, flight: self._family_batch(key, node, flight),
-        )
-
-    def _serve(
-        self,
-        key: str,
-        compute: Callable[[], Mapping[str, np.ndarray]] | None,
-        batch: Callable[[str, _Flight], tuple[dict[str, np.ndarray], str]] | None = None,
-    ) -> tuple[dict[str, np.ndarray], str]:
-        """Cache → in-flight table → compute (or batch) pipeline."""
+    def _serve(self, node: Node) -> tuple[dict[str, np.ndarray], str]:
+        """Cache → in-flight table → group-commit planner pipeline."""
+        key = node.key
         arrays, level = self.cache.lookup_level(key)
         if arrays is not None and level is not None:
             self._count("hits")
@@ -527,13 +444,7 @@ class ServiceCore:
             assert flight.value is not None
             return flight.value, "coalesced"
         try:
-            if batch is not None:
-                value, served = batch(key, flight)
-            else:
-                assert compute is not None
-                value = self.cache.store(key, compute())
-                served = "computed"
-                self._count("computed")
+            value, served = self._family_batch(key, node, flight)
             flight.value = value
             return value, served
         except Exception as exc:
@@ -554,7 +465,8 @@ class ServiceCore:
         Group commit, keyed on the node's ``(op, compat)`` — its family
         plus its fusion-compatibility fingerprint (machine closed form,
         stencil, partition kind, scalars; only the axis differs).  A
-        request whose group is idle is evaluated at once.  Requests that
+        request whose group is idle is evaluated at once; a non-fusable
+        node is a group of its own.  Requests that
         arrive while the group's evaluation runs join its pending
         bucket; when the evaluation finishes, the bucket's first member
         leads the next round and hands every member node to the
@@ -565,7 +477,7 @@ class ServiceCore:
         request pipeline already counted each member's miss — daemon
         hit/miss totals stay identical to the offline path.
         """
-        group = (node.op, node.compat)
+        group = (node.op, node.compat if node.is_fusable else key)
         member = (key, node, flight)
         bucket: _Bucket | None = None
         leader = True
@@ -665,79 +577,6 @@ class ServiceCore:
             self._flights.pop(key, None)
         flight.event.set()
 
-    # Capacity plans --------------------------------------------------------
-
-    def _serve_plan(
-        self, args: Mapping[str, Any]
-    ) -> tuple[dict[str, np.ndarray], str, str]:
-        """Everything ``repro plan`` prints, as one fingerprinted bundle.
-
-        The grid half reuses the offline CLI's ``("plan_grid", …)``
-        request so daemon and command line share store entries; the
-        whole bundle gets its own fingerprint for coalescing and warm
-        repeats.
-        """
-        from repro.batch.analysis import max_useful_processors_curve
-        from repro.batch.curves import minimal_grid_side_curve
-        from repro.machines.bus import BusArchitecture
-        from repro.stencils.library import ALL_STENCILS
-        from repro.stencils.perimeter import PartitionKind
-
-        machine = args["machine"]
-        if not isinstance(machine, BusArchitecture):
-            raise InvalidParameterError(
-                f"{args['machine_name']} is not a bus: allocation is extremal, "
-                "capacity-planning thresholds apply to buses"
-            )
-        n = args["n"]
-        grid = args["grid"]
-        request = (
-            "service_plan",
-            machine,
-            int(n),
-            None if grid is None else np.asarray(grid, dtype=float),
-        )
-
-        def compute() -> dict[str, np.ndarray]:
-            max_useful = np.array(
-                [
-                    [
-                        max_useful_processors_curve(
-                            machine, stencil, kind, [n], cache=self.cache
-                        )[0]
-                        for kind in (PartitionKind.STRIP, PartitionKind.SQUARE)
-                    ]
-                    for stencil in ALL_STENCILS
-                ]
-            )
-            out = {
-                "n": np.array([n], dtype=int),
-                "max_useful": max_useful,
-                "stencils": np.asarray([s.name for s in ALL_STENCILS]),
-            }
-            if grid is None:
-                defaults = np.array([8, 16, 32], dtype=int)
-                out["default_processors"] = defaults
-                out["default_sides"] = minimal_grid_side_curve(
-                    machine, 1, 5.0, 1e-6, defaults, PartitionKind.SQUARE
-                )
-            else:
-                # The same lazy node the CLI's --grid mode plans, so
-                # daemon and command line share store entries.
-                from repro.graph.planner import evaluate as graph_evaluate
-
-                curves = graph_evaluate(
-                    [graph_nodes.plan_grid(machine, grid)], cache=self.cache
-                )[0]
-                out["grid_processors"] = np.asarray(grid, dtype=int)
-                out["grid_strip"] = curves[PartitionKind.STRIP.value]
-                out["grid_square"] = curves[PartitionKind.SQUARE.value]
-            return out
-
-        key = fingerprint(request)
-        arrays, served = self._serve(key, compute=compute)
-        return arrays, served, key
-
     # ------------------------------------------------------- HTTP semantics
 
     def _respond_json(
@@ -796,9 +635,7 @@ class ServiceCore:
                 {
                     "status": "ok",
                     "service": "repro-sweepd",
-                    "protocols": ["frame"],
-                    "kinds": list(COMPUTE_KINDS),
-                    "backend": self.backend,
+                    "kinds": list(kinds()),
                     "read_timeout_s": self.read_timeout_s,
                 }
             )

@@ -108,6 +108,24 @@ class TestScope:
         assert len(findings) == 1
         assert "Fast.run" in findings[0].message
 
+    def test_glob_entry_checks_only_matching_functions(self):
+        # How the family table is scoped: numpy kernels in, oracles out.
+        source = (
+            "import numpy as np\n"
+            "def _numpy_curve(xs: np.ndarray):\n"
+            "    return [v for v in xs]\n"
+            "def _oracle_curve(xs: np.ndarray):\n"
+            "    return [v for v in xs]\n"
+        )
+        findings = _run(source, scope=("m:_numpy_*",))
+        assert len(findings) == 1
+        assert "_numpy_curve" in findings[0].message
+
+    def test_default_scope_covers_the_family_numpy_kernels(self):
+        from repro.analyze.vectorization import DEFAULT_SCOPE
+
+        assert "repro.graph.families:_numpy_*" in DEFAULT_SCOPE
+
     def test_out_of_scope_modules_are_ignored(self):
         source = (
             "import numpy as np\n"

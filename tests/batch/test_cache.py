@@ -183,6 +183,120 @@ class TestCanonicalMemo:
         assert fingerprint(("op", knobs)) != before
 
 
+#: ``(key, compat)`` of one node per family besides the allocation
+#: curves above, recorded before the families moved to one declaration
+#: table.  Both halves are load-bearing: ``key`` names the stored entry,
+#: ``compat`` decides which cold requests fuse.
+GOLDEN_FAMILY_FINGERPRINTS = {
+    "allocation_curve": (
+        "4aa61897f141533ab44751652ddab161d53105774753b7c4442bd93d1973b003",
+        "f37c5fb5b8fab06422fcb3c4a0c5bdd819d14fc8948c0a4935455eb70f410db1",
+    ),
+    "max_useful": (
+        "6c0f639677b0a2c46f94f7829203d138481c183b5a456de2986a39a47b40982c",
+        "2baa527afcb8957840e008f878940f44e8b0f74bfbd0f1e4732c6e7137abc078",
+    ),
+    "n2_min": (
+        "5d21863942410b6cb2b5a18e275380f401276ac501f9f48c3b70aa538a56fe34",
+        "3149a3179e1147a86cbd1bae42719490844a7a62f6c9bc96d73e0b47bb070f61",
+    ),
+    "grid_for_efficiency": (
+        "6716827df57d5001cd81b4767f874a56f56926926ea5aa977e76e5d8e5602933",
+        "d7d80f9ae700de2c80ed009d8c1fed9f54a93782e0c3b0c46a3cced9b16f6373",
+    ),
+    "sweep": (
+        "2337119ca444f59a8d2f9e7af74b8dc3ec4f209bdc4d08e305eff557291dbf56",
+        "fc523e95fdcf30bb79a1f20941f0fde2c426a6fe89eea73f8c50b23826862cf1",
+    ),
+    "plan_grid": (
+        "04e875737d0b03f634833b9a9d8babcbd3b1ffa94e3bba1be6a4c23cac3d55c8",
+        "628272edb91e6d60a4e6ecd5356b65b42781bc59ba833517f13d670ac01a636f",
+    ),
+    "sim_sweep": (
+        "633352780db20ce0ca361719252faf20b6ae7e2c8759d8a89ac3acdf1886f8e3",
+        "f26279e3f66100aaa2874f467c3eda7049de40b7d3eb5602bcece3f9d2d84806",
+    ),
+    "sim_validate": (
+        "c829b4adea6b54e5886974c054fe6796f7e913f20b6940660666b0082ad96008",
+        "81f9b72dbd73f20e0347177b96d3506276260833b732d7d84b9f21198f7644ee",
+    ),
+}
+
+#: The key a daemon stores each wire request under, recorded the same
+#: way: a store warmed before the change must keep serving after it.
+GOLDEN_WIRE_KEYS = {
+    "allocation_curve": "f2cdaebc37c635819c065299c78ec23dda8417ce8578697a4a395d19190b2aeb",
+    "plan": "fb2858e4fafbea5f1c721ea549a5765e34fb6d9973080b92df2fd3ef772625c8",
+    "plan_grid": "ab6896d80e786ecc20ec76c8b8e4f7ab0ec04d95b8bea7469972d2894151f12e",
+    "sweep": "2337119ca444f59a8d2f9e7af74b8dc3ec4f209bdc4d08e305eff557291dbf56",
+    "sim_sweep": "56f9f3facc9deccedca95b40d5aa9e944f5a017ba44c7c5cb16dd6e1c25fd66f",
+    "sim_seeds": "2f72bf58c441650aa5a70518b166babd036a1b2b7c553764011ca125ef9a7f15",
+    "sim_validate": "84f92b7a9c4dbcd72de29702f69ef050f8ee9d10938cd147bd89f90e401b4c7d",
+}
+
+
+def _family_nodes():
+    strip = PartitionKind.STRIP
+    return {
+        "allocation_curve": graph_nodes.allocation_curve(
+            PAPER_BUS, FIVE_POINT, SQUARE, [64, 128, 256], max_processors=64, integer=True
+        ),
+        "max_useful": graph_nodes.max_useful_processors(
+            PAPER_BUS, FIVE_POINT, SQUARE, [64, 128, 256]
+        ),
+        "n2_min": graph_nodes.minimal_problem_size(
+            PAPER_BUS, NINE_POINT_BOX, strip, [4, 16, 64]
+        ),
+        "grid_for_efficiency": graph_nodes.grid_for_efficiency(
+            PAPER_BUS, FIVE_POINT, SQUARE, [4, 16], 0.5
+        ),
+        "sweep": graph_nodes.sweep(
+            SweepSpec.across_catalog(
+                [64, 128, 256], [1.0, 4.0, 16.0], machines=["paper-bus", "flex32"]
+            )
+        ),
+        "plan_grid": graph_nodes.plan_grid(PAPER_BUS, [8, 16, 32]),
+        "sim_sweep": graph_nodes.sim_sweep(
+            PAPER_BUS, FIVE_POINT, SQUARE, 32, 4, [0, 1, 2], jitter=0.1
+        ),
+        "sim_validate": graph_nodes.sim_validate(
+            DEFAULT_MACHINES["ipsc"], FIVE_POINT, strip, 24, [1, 2, 4, 8]
+        ),
+    }
+
+
+def _wire_payloads():
+    from repro.service import schema
+
+    return {
+        "allocation_curve": schema.allocation_payload(
+            "ipsc", "9-point-box", "strip", [64, 128, 256], integer=True
+        ),
+        "plan": schema.plan_payload("paper-bus", 256),
+        "plan_grid": schema.plan_payload("paper-bus", 256, [8, 16, 32]),
+        "sweep": schema.sweep_payload([64, 128, 256], [1, 4, 16], ["paper-bus", "flex32"]),
+        "sim_sweep": schema.sim_sweep_payload("paper-bus", 32, 4, replicas=8, jitter=0.1),
+        "sim_seeds": schema.sim_sweep_payload("paper-bus", 32, 4, seeds=[5, 2**64 - 1]),
+        "sim_validate": schema.sim_validate_payload("ipsc", 24, [1, 2, 4, 8]),
+    }
+
+
+class TestFamilyFingerprints:
+    def test_every_family_keeps_its_key_and_compat(self):
+        built = _family_nodes()
+        assert set(built) == set(GOLDEN_FAMILY_FINGERPRINTS)
+        for name, node in built.items():
+            assert (node.key, node.compat) == GOLDEN_FAMILY_FINGERPRINTS[name], name
+
+    def test_every_wire_request_keeps_its_stored_key(self):
+        from repro.service import ServiceCore
+
+        core = ServiceCore()
+        for name, payload in _wire_payloads().items():
+            _arrays, _served, key = core.compute_with_key(payload)
+            assert key == GOLDEN_WIRE_KEYS[name], name
+
+
 class TestSweepCacheLevels:
     def test_memory_hit_returns_identical_arrays(self, tmp_path):
         cache = SweepCache(tmp_path)

@@ -362,6 +362,12 @@ class TestValidationAndRegistry:
             nodes.minimal_problem_size(
                 PAPER_BUS, FIVE_POINT, PartitionKind.SQUARE, [0]
             )
+        # Every family's axis passes the same declared checks: empty and
+        # 2-D axes are rejected by the bus thresholds too.
+        for builder in (nodes.max_useful_processors, nodes.minimal_problem_size):
+            for bad in ([], [[4]]):
+                with pytest.raises(InvalidParameterError):
+                    builder(PAPER_BUS, FIVE_POINT, PartitionKind.SQUARE, bad)
 
     def test_unknown_executor_names_the_known_ones(self):
         with pytest.raises(InvalidParameterError, match="numpy"):

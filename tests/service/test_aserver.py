@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.batch.cache import SweepCache
+from repro.graph.families import kinds
 from repro.service import AsyncSweepServer, ServiceClient, ServiceCore
 from repro.service.aserver import _HttpError, _RequestParser
 from repro.service.frame import FRAME_CONTENT_TYPE, decode_frame, frame_bytes
@@ -166,11 +167,13 @@ class TestListenerBinding:
 
 
 class TestReadTimeout:
-    def test_healthz_advertises_backend_and_timeout(self):
+    def test_healthz_advertises_kinds_and_timeout(self):
         with AsyncSweepServer(port=0, read_timeout_s=12.5) as server:
             health = ServiceClient(server.url).health()
-            assert health["backend"] == "asyncio"
+            assert health["kinds"] == list(kinds())
             assert health["read_timeout_s"] == 12.5
+            # One transport and one array encoding: nothing to advertise.
+            assert "backend" not in health and "protocols" not in health
 
     def test_half_a_request_head_then_stall_gets_disconnected(self):
         with AsyncSweepServer(port=0, read_timeout_s=0.5) as server:

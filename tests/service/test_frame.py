@@ -10,6 +10,8 @@ clean :class:`FrameError` rejections, never a mis-sliced array.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -355,5 +357,13 @@ class TestEndToEnd:
         np.testing.assert_array_equal(back["x"], arrays["x"])
         np.testing.assert_array_equal(back["names"], arrays["names"])
 
-    def test_healthz_advertises_the_frame_protocol(self, server):
-        assert "frame" in ServiceClient(server.url).health()["protocols"]
+    def test_compute_answers_in_frames_without_negotiation(self, server):
+        # Frames are the only array encoding, so /healthz names none.
+        client = ServiceClient(server.url)
+        assert "protocols" not in client.health()
+        status, ctype, _body = client._request(
+            "/v1/compute",
+            json.dumps(allocation_payload("paper-bus", "5-point", "square", [64])).encode(),
+            method="POST",
+        )
+        assert (status, ctype) == (200, FRAME_CONTENT_TYPE)

@@ -191,17 +191,18 @@ class TestAllocationRequests:
         # (doubled constants, same closed form) through the shared-store
         # tier; the daemon must then serve the paper-bus request itself
         # from cache — cross-preset dedup at the service layer.
-        from repro.batch.analysis import _allocation_request, _compute_allocation_curve
+        from repro.batch.analysis import _compute_allocation_curve
         from repro.core.parameters import DEFAULT_T_FLOP
+        from repro.graph import nodes as graph_nodes
         from repro.machines.bus import SynchronousBus
 
         twin = SynchronousBus(b=2 * PAPER_BUS.b, c=0.0, volume_mode="read_only")
         sides_arr = np.asarray(SIDES, dtype=float)
         remote = RemoteSweepCache(server.url)
         remote.get_or_compute(
-            _allocation_request(
+            graph_nodes.allocation_curve(
                 twin, FIVE_POINT, SQUARE, sides_arr, DEFAULT_T_FLOP, None, True
-            ),
+            ).request,
             lambda: _compute_allocation_curve(
                 twin, FIVE_POINT, SQUARE, sides_arr, DEFAULT_T_FLOP, None, True
             ).to_arrays(),
@@ -234,6 +235,58 @@ class TestAllocationRequests:
     def test_unknown_kind_is_a_400(self, client):
         with pytest.raises(ServiceError, match="unknown request kind"):
             client.compute({"kind": "frobnicate"})
+
+
+def _post_compute(payload) -> tuple[int, dict]:
+    response = ServiceCore().handle_request(
+        "POST", "/v1/compute", json.dumps(payload).encode()
+    )
+    return response.status, json.loads(response.body_bytes())
+
+
+_ALLOCATION = {"kind": "allocation_curve", "machine": "paper-bus",
+               "stencil": "5-point", "partition": "square", "grid_sides": [64, 128]}
+
+
+class TestMalformedRequests:
+    # Every field is coerced once, through its family's declared schema,
+    # so a malformed value is the client's error (400), never a crash.
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "plan", "machine": "paper-bus", "n": "abc"},
+            {**_ALLOCATION, "t_flop": None},
+            {**_ALLOCATION, "t_flop": "x"},
+            {**_ALLOCATION, "t_flop": -1.0},
+            {"kind": "sim_sweep", "machine": "paper-bus", "n": 16,
+             "n_processors": 4, "replicas": "many"},
+            {"kind": "sweep", "grid_sides": [64], "processors": ["a"],
+             "machines": ["paper-bus"]},
+            [_ALLOCATION],
+        ],
+        ids=["plan-n", "t_flop-null", "t_flop-text", "t_flop-negative",
+             "replicas-text", "sweep-processors", "list-body"],
+    )
+    def test_malformed_fields_are_400s(self, payload):
+        status, body = _post_compute(payload)
+        assert status == 400, body
+        assert body["status"] == "error"
+
+    def test_replica_expansion_is_bounded_before_it_happens(self):
+        from repro.graph.families import MAX_REPLICAS
+
+        payload = {"kind": "sim_sweep", "machine": "paper-bus", "n": 16,
+                   "n_processors": 4, "replicas": 10**12}
+        started = time.monotonic()
+        status, body = _post_compute(payload)
+        assert status == 400
+        assert str(MAX_REPLICAS) in body["error"]
+        assert time.monotonic() - started < 5.0  # refused, not expanded
+        too_many = {**payload, "replicas": None, "seeds": [0] * (MAX_REPLICAS + 1)}
+        status, body = _post_compute(too_many)
+        assert status == 400 and str(MAX_REPLICAS) in body["error"]
+        # The bound admits every caller's ensemble size.
+        assert MAX_REPLICAS >= 1000
 
 
 class TestCoalescing:
@@ -523,6 +576,34 @@ class TestPlanAndSweep:
     def test_plan_rejects_non_bus(self, client):
         with pytest.raises(ServiceError, match="not a bus"):
             client.plan("ipsc", 256)
+
+    def test_distinct_plans_never_wait_for_each_other(self, monkeypatch):
+        # A plan is not fusable, so it is a group-commit group of its
+        # own: a second, different plan computes while the first is
+        # still evaluating, instead of riding its bucket.
+        from repro.service.schema import plan_payload
+
+        gate = _ParkFirstEvaluation(monkeypatch)
+        core = ServiceCore()
+        results = {}
+
+        def fire(n):
+            results[n] = core.compute_arrays(plan_payload("paper-bus", n))
+
+        first = threading.Thread(target=fire, args=(256,))
+        first.start()
+        assert gate.parked.wait(10.0)
+        second = threading.Thread(target=fire, args=(128,))
+        second.start()
+        second.join(10.0)
+        finished_while_parked = not second.is_alive()
+        gate.release.set()
+        _join_all([first, second])
+        assert finished_while_parked
+        arrays, served = results[128]
+        assert served == "computed" and arrays["n"].tolist() == [128]
+        assert core.stats_payload()["counters"]["computed"] == 2
+        _assert_batching_state_empty(core)
 
     def test_sweep_surfaces_match_run_sweep(self, client):
         surfaces = client.sweep(
