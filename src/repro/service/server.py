@@ -1,4 +1,4 @@
-"""The sweep service core: routing, cache, coalescing, group commit.
+"""The sweep service core: routing, cache, one admission table.
 
 Request lifecycle for ``POST /v1/compute``:
 
@@ -11,24 +11,22 @@ Request lifecycle for ``POST /v1/compute``:
    family, the capacity plan included, takes the steps below.
 2. A fingerprint hit answers straight from the shared
    :class:`~repro.batch.SweepCache` (``served: memory|disk``).
-3. A miss consults the in-flight table: an identical request already
-   computing means *wait, don't recompute* (``served: coalesced``).
-4. Cold requests then enter the batcher, which is the sweep-graph
-   planner (:mod:`repro.graph`) behind a *group-commit* admission
-   queue: each request's node is keyed by its fusion-compatibility
-   group — same family, machine closed form, stencil, partition kind,
-   scalars; only the axis differs.  A request whose group has no
-   evaluation running is evaluated at once, with no wait.  Compatible
-   requests arriving while that evaluation runs join one pending
-   bucket, and when it finishes the bucket's first member hands the
-   whole bucket to the planner, which fuses it onto a single vectorized
-   evaluation over the union axis.  Every fusable family batches this
-   way.  Each requester gets its own slice,
-   stored under its own fingerprint (``served: batched`` for riders,
-   ``computed`` for the one thread that did the work).  Slices are
-   bit-identical to computing each request alone — every fusable
-   family is elementwise in its axis.  A non-fusable node (a capacity
-   plan) is a group of its own.
+3. A miss enters admission: one table keyed by the node's
+   fusion-compatibility group — same family, machine closed form,
+   stencil, partition kind, scalars; only the axis differs — holding
+   each busy group's running round and at most one pending round.  A
+   node whose fingerprint is already in one of them waits for that
+   round instead of recomputing (``served: coalesced``).  Otherwise a
+   node whose group is idle is evaluated at once, with no wait, and
+   one whose group is running joins the pending round.  When the
+   running round finishes, the pending round's first member hands
+   every node to the sweep-graph planner (:mod:`repro.graph`), which
+   fuses them onto a single vectorized evaluation over the union axis.
+   Each requester gets its own slice, stored under its own fingerprint
+   (``served: batched`` for riders, ``computed`` for the one thread
+   that did the work).  Slices are bit-identical to computing each
+   request alone — every fusable family is elementwise in its axis.  A
+   non-fusable node (a capacity plan) is a group of its own.
 
 Endpoints::
 
@@ -177,34 +175,26 @@ class Response:
         return b"".join(self.chunks)
 
 
-class _Flight:
-    """One in-flight computation: late twins wait on it instead of working."""
+class _Round:
+    """One evaluation of a compatibility group and everyone waiting on it.
 
-    __slots__ = ("event", "value", "error")
+    ``nodes`` maps each distinct fingerprint to its node in arrival
+    order; it grows only while the round is pending.  ``done`` fires
+    once, after ``results`` (fingerprint → stored arrays) or ``error``
+    is set.
+    """
 
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.value: dict[str, np.ndarray] | None = None
+    __slots__ = ("nodes", "done", "results", "error")
+
+    def __init__(self, node: Node) -> None:
+        self.nodes: dict[str, Node] = {node.key: node}
+        self.done = threading.Event()
+        self.results: dict[str, dict[str, np.ndarray]] = {}
         self.error: str | None = None
 
 
-class _Bucket:
-    """Requests waiting for their group's running evaluation to finish.
-
-    ``members`` grows while the bucket is pending; the handoff that sets
-    ``turn`` detaches the bucket from the group table first, so its
-    leader reads a list nobody appends to any more.
-    """
-
-    __slots__ = ("members", "turn")
-
-    def __init__(self) -> None:
-        self.members: list[tuple[str, Node, _Flight]] = []
-        self.turn = threading.Event()
-
-
 class ServiceCore:
-    """The transport-agnostic sweep service: routing, cache, coalescing.
+    """The transport-agnostic sweep service: routing, cache, admission.
 
     :meth:`handle_request` turns ``(method, path, body)`` into a
     :class:`Response`; :class:`~repro.service.aserver.AsyncSweepServer`
@@ -215,6 +205,13 @@ class ServiceCore:
     cache_dir, max_cache_mb:
         The shared store: optional frame-file directory and the per-tier
         LRU bound (MiB) — both forwarded to :class:`SweepCache`.
+    compute_timeout_s:
+        The one bound every admission waiter uses: a twin waiting on the
+        round that holds its fingerprint, a rider waiting on its pending
+        round, and a pending round's leader waiting for the running
+        round.  A waiter that runs out fails with a ``timed out`` error;
+        a pending leader that runs out withdraws its round, failing
+        every member and twin with it.
     read_timeout_s:
         Idle/half-open connections are closed after this many seconds
         (slowloris hardening); advertised in ``/healthz``.
@@ -236,17 +233,15 @@ class ServiceCore:
         self.read_timeout_s = float(read_timeout_s)
         self.drain_timeout_s = float(drain_timeout_s)
         self.started = time.time()
-        self._flights: dict[str, _Flight] = {}
-        self._flights_lock = threading.Lock()
         #: Exact request bytes → cache fingerprint, learned on first
         #: compute.  The warm-hit fast path: identical bodies skip JSON
         #: parsing, validation, and fingerprint hashing entirely.
         self._request_keys: OrderedDict[bytes, str] = OrderedDict()  # guarded-by: _request_keys_lock
         self._request_keys_lock = threading.Lock()
-        # Group commit: a compatibility group is a key while one of its
-        # evaluations runs; the value is the bucket of requests waiting
-        # for it to finish, or None.  Idle groups are not kept.
-        self._groups: dict[tuple[str, str | None], _Bucket | None] = {}  # guarded-by: _batch_lock
+        # Admission: a compatibility group is a key while one of its
+        # rounds runs; the value is the running round, then at most one
+        # pending round.  Idle groups are not kept.
+        self._groups: dict[tuple[str, str | None], list[_Round]] = {}  # guarded-by: _batch_lock
         self._batch_lock = threading.Lock()
         self._counters = {
             "requests": 0,
@@ -423,159 +418,83 @@ class ServiceCore:
                 self._request_keys.popitem(last=False)
 
     def _serve(self, node: Node) -> tuple[dict[str, np.ndarray], str]:
-        """Cache → in-flight table → group-commit planner pipeline."""
-        key = node.key
-        arrays, level = self.cache.lookup_level(key)
+        """Cache probe, then admission into the node's group."""
+        arrays, level = self.cache.lookup_level(node.key)
         if arrays is not None and level is not None:
             self._count("hits")
             return arrays, level
-        with self._flights_lock:
-            flight = self._flights.get(key)
-            owner = flight is None
-            if flight is None:
-                flight = _Flight()
-                self._flights[key] = flight
-        if not owner:
-            if not flight.event.wait(self.compute_timeout_s):
-                raise ReproError("timed out waiting for an in-flight twin request")
-            if flight.error is not None:
-                raise ReproError(flight.error)
-            self._count("coalesced")
-            assert flight.value is not None
-            return flight.value, "coalesced"
-        try:
-            value, served = self._family_batch(key, node, flight)
-            flight.value = value
-            return value, served
-        except Exception as exc:
-            flight.error = f"{type(exc).__name__}: {exc}"
-            raise
-        finally:
-            with self._flights_lock:
-                self._flights.pop(key, None)
-            flight.event.set()
+        return self._family_batch(node)
 
     # The batcher -----------------------------------------------------------
 
-    def _family_batch(
-        self, key: str, node: Node, flight: _Flight
-    ) -> tuple[dict[str, np.ndarray], str]:
-        """Merge compatible cold requests of *any* family onto one plan.
+    def _family_batch(self, node: Node) -> tuple[dict[str, np.ndarray], str]:
+        """Admit one cold node into its group's rounds; wait or run.
 
-        Group commit, keyed on the node's ``(op, compat)`` — its family
-        plus its fusion-compatibility fingerprint (machine closed form,
-        stencil, partition kind, scalars; only the axis differs).  A
-        request whose group is idle is evaluated at once; a non-fusable
-        node is a group of its own.  Requests that
-        arrive while the group's evaluation runs join its pending
-        bucket; when the evaluation finishes, the bucket's first member
-        leads the next round and hands every member node to the
-        sweep-graph planner, which fuses them onto one vectorized
-        evaluation over the union axis and stores each member's slice
-        under its own fingerprint.  Nobody waits unless an evaluation of
-        their group is already running.  ``lookup=False`` because the
-        request pipeline already counted each member's miss — daemon
-        hit/miss totals stay identical to the offline path.
+        The group is the node's family plus its fusion-compatibility
+        fingerprint; a non-fusable node is a group of its own.  One lock
+        acquisition settles admission:
+
+        * the fingerprint is already in a round: wait for it (``coalesced``);
+        * the group has a pending round: join it (``batched``);
+        * the group is running: open the pending round and lead it once
+          the running round is done;
+        * the group is idle: run at once.
+
+        A leader hands its round's nodes to the planner, which fuses them
+        onto one evaluation and stores each slice under its own
+        fingerprint (``computed``).  ``lookup=False`` because the request
+        pipeline already counted each member's miss — daemon hit/miss
+        totals stay identical to the offline path.  Whatever ends the
+        round — results, a failure, or the leader timing out behind the
+        running round — retires it and wakes every member and twin.
         """
+        key = node.key
         group = (node.op, node.compat if node.is_fusable else key)
-        member = (key, node, flight)
-        bucket: _Bucket | None = None
-        leader = True
+        running: _Round | None = None
         with self._batch_lock:
-            if group in self._groups:
-                bucket = self._groups[group]
-                if bucket is None:
-                    bucket = self._groups[group] = _Bucket()
-                else:
-                    leader = False
-                bucket.members.append(member)
+            rounds = self._groups.setdefault(group, [])
+            round_ = next((r for r in rounds if key in r.nodes), None)
+            if round_ is not None:
+                served = "coalesced"
+            elif len(rounds) == 2:
+                round_ = rounds[1]
+                round_.nodes[key] = node
+                served = "batched"
             else:
-                self._groups[group] = None
-        if bucket is None:
-            members = [member]
-        elif not leader:
-            if not flight.event.wait(self.compute_timeout_s):
-                raise ReproError("timed out waiting for the batch leader")
-            if flight.error is not None:
-                raise ReproError(flight.error)
-            self._count("batched")
-            assert flight.value is not None
-            return flight.value, "batched"
-        else:
-            members = self._await_turn(group, bucket, flight)
+                running = rounds[0] if rounds else None
+                round_ = _Round(node)
+                rounds.append(round_)
+                served = "computed"
+        if served != "computed":
+            if not round_.done.wait(self.compute_timeout_s):
+                raise ReproError("timed out waiting for an in-flight round")
+            if round_.error is not None:
+                raise ReproError(round_.error)
+            self._count(served)
+            return round_.results[key], served
         try:
-            results = plan_graph(
-                [mnode for _, mnode, _ in members],
+            if running is not None and not running.done.wait(self.compute_timeout_s):
+                raise ReproError("timed out waiting for the running batch")
+            stored = plan_graph(
+                list(round_.nodes.values()),
                 cache=self.cache,
                 executor=NumpyExecutor(),
                 lookup=False,
             ).execute()
-        except Exception as exc:
-            self._fail_riders(members, flight, f"{type(exc).__name__}: {exc}")
+            round_.results = dict(zip(round_.nodes, stored))
+        except BaseException as exc:
+            round_.error = f"{type(exc).__name__}: {exc}"
             raise
         finally:
-            self._next_round(group)
-        self._count("computed")
-        value = None
-        for (mkey, _, mflight), stored in zip(members, results):
-            if mflight is flight:
-                value = stored
-            else:
-                mflight.value = stored
-                self._land(mkey, mflight)
-        assert value is not None
-        return value, "computed"
-
-    def _await_turn(
-        self, group: tuple[str, str | None], bucket: _Bucket, flight: _Flight
-    ) -> list[tuple[str, Node, _Flight]]:
-        """Block a bucket leader until its group's running round ends.
-
-        Returns the bucket's members, frozen at the handoff.  On timeout
-        a bucket not yet handed off is withdrawn and its riders fail
-        with the leader, so no request is left waiting on a round that
-        will never be led.
-        """
-        if not bucket.turn.wait(self.compute_timeout_s):
+            # The group's list outlives the round: it is dropped only
+            # once empty.  The pending round, if any, runs next.
             with self._batch_lock:
-                withdrawn = self._groups.get(group) is bucket
-                if withdrawn:
-                    self._groups[group] = None
-            if withdrawn:
-                exc = ReproError("timed out waiting for the running batch")
-                self._fail_riders(bucket.members, flight, f"ReproError: {exc}")
-                raise exc
-        return bucket.members
-
-    def _next_round(self, group: tuple[str, str | None]) -> None:
-        """End one evaluation: wake the group's pending bucket, or go idle."""
-        with self._batch_lock:
-            bucket = self._groups[group]
-            if bucket is None:
-                del self._groups[group]
-            else:
-                self._groups[group] = None  # the bucket's round runs next
-        if bucket is not None:
-            bucket.turn.set()
-
-    def _fail_riders(
-        self, members: list[tuple[str, Node, _Flight]], flight: _Flight, message: str
-    ) -> None:
-        """Hand ``message`` to every member but the leader (``flight``).
-
-        The leader's own flight is failed by :meth:`_serve` when the
-        exception propagates.
-        """
-        for mkey, _, mflight in members:
-            if mflight is not flight:
-                mflight.error = message
-                self._land(mkey, mflight)
-
-    def _land(self, key: str, flight: _Flight) -> None:
-        """Retire a rider's flight and wake its waiters."""
-        with self._flights_lock:
-            self._flights.pop(key, None)
-        flight.event.set()
+                rounds.remove(round_)
+                if not rounds:
+                    del self._groups[group]
+            round_.done.set()
+        self._count("computed")
+        return round_.results[key], served
 
     # ------------------------------------------------------- HTTP semantics
 

@@ -48,6 +48,7 @@ class TestShippedTree:
         assert ("repro.batch.cache:SweepCache", "_memory") in guarded
         assert ("repro.batch.cache:SweepCache", "stats") in guarded
         assert ("repro.service.aserver:AsyncSweepServer", "_counters") in guarded
+        assert ("repro.service.server:ServiceCore", "_groups") in guarded
 
 
 class TestReporters:

@@ -79,21 +79,42 @@ def _join_all(threads, timeout: float = 30.0) -> None:
         assert not t.is_alive(), f"{t.name} did not finish"
 
 
+def _waiting_in_core() -> int:
+    """How many threads wait inside the service core.
+
+    A thread counts once it blocks in a :mod:`threading` ``wait`` called
+    straight from ``repro/service/server.py``: it is parked on one of the
+    core's events, so its admission is settled and whatever it waits on
+    can no longer retire before it looks.
+    """
+    server_file = os.path.join("repro", "service", "server.py")
+    waiting = 0
+    for frame in sys._current_frames().values():
+        if frame.f_code.co_name != "wait":
+            continue
+        while frame is not None and frame.f_code.co_filename.endswith("threading.py"):
+            frame = frame.f_back
+        if frame is not None and frame.f_code.co_filename.endswith(server_file):
+            waiting += 1
+    return waiting
+
+
 def _assert_batching_state_empty(core) -> None:
-    """No group marked running, no pending bucket, no flight left over."""
+    """No round running or pending, no member or waiter left over."""
     with core._batch_lock:
         assert core._groups == {}
-    with core._flights_lock:
-        assert core._flights == {}
+    assert _waiting_in_core() == 0
 
 
 def _wait_for_bucket(server, members: int) -> None:
-    """Block until ``members`` requests wait in the pending buckets."""
+    """Block until ``members`` requests wait in the pending rounds."""
     deadline = time.monotonic() + 10.0
     while True:
         with server._batch_lock:
             waiting = sum(
-                len(b.members) for b in server._groups.values() if b is not None
+                len(rounds[-1].nodes)
+                for rounds in server._groups.values()
+                if len(rounds) == 2
             )
         if waiting == members:
             return
@@ -101,42 +122,58 @@ def _wait_for_bucket(server, members: int) -> None:
         time.sleep(0.001)
 
 
+def _wait_until_waiting(count: int) -> None:
+    """Block until ``count`` threads wait inside the service core."""
+    deadline = time.monotonic() + 10.0
+    while (waiting := _waiting_in_core()) != count:
+        assert time.monotonic() < deadline, waiting
+        time.sleep(0.001)
+
+
 def _fire_group_commit_round(server, gate, request, los):
     """One parked evaluation, then every other request in one bucket.
 
-    Returns ``{lo: (result, served)}`` after asserting the round took
-    exactly two evaluations: the parked one and one fused evaluation
-    led by the bucket's first member, everyone else a ``batched`` rider.
+    Once the bucket is full, a twin of the parked request and a twin of
+    the last rider follow.  Returns ``[(lo, result)]`` for every request
+    after asserting the round took exactly two evaluations: the parked
+    one and one fused evaluation led by the bucket's first member, every
+    other member a ``batched`` rider and both twins ``coalesced``.
     """
     stats = ServiceClient(server.url)
     runs_before = stats.stats()["planner"]["executor_runs"]
-    results = {}
+    results = []
     lock = threading.Lock()
 
     def fire(lo):
         c = ServiceClient(server.url)
         result = request(c, lo)
         with lock:
-            results[lo] = (result, c.last_served)
+            results.append((lo, result, c.last_served))
         c.close()
 
-    head = threading.Thread(target=fire, args=(los[0],), daemon=True)
-    head.start()
+    def start(lo):
+        thread = threading.Thread(target=fire, args=(lo,), daemon=True)
+        thread.start()
+        return thread
+
+    head = start(los[0])
     assert gate.parked.wait(10.0)
-    threads = [threading.Thread(target=fire, args=(lo,), daemon=True) for lo in los[1:]]
-    for t in threads:
-        t.start()
+    threads = [head, *(start(lo) for lo in los[1:])]
     _wait_for_bucket(server, len(los) - 1)
+    threads += [start(los[0]), start(los[-1])]
+    _wait_until_waiting(len(los) + 1)  # the bucket's members and both twins
     gate.release.set()
-    _join_all([head, *threads])
+    _join_all(threads)
     _assert_batching_state_empty(server)
     runs_after = stats.stats()["planner"]["executor_runs"]
     stats.close()
     assert runs_after.get("numpy", 0) - runs_before.get("numpy", 0) == 2
     assert gate.calls == 2
-    served = Counter(outcome for _, outcome in results.values())
-    assert results[los[0]][1] == "computed"
-    assert served == {"computed": 2, "batched": len(los) - 2}
+    served = Counter(outcome for _, _, outcome in results)
+    assert served == {"computed": 2, "batched": len(los) - 2, "coalesced": 2}
+    labels = {lo: sorted(o for other, _, o in results if other == lo) for lo in los}
+    assert labels[los[0]] == ["coalesced", "computed"]
+    assert labels[los[-1]] == ["batched", "coalesced"]
     # Every fused slice was stored under its own fingerprint.
     for lo in los:
         verifier = ServiceClient(server.url)
@@ -144,7 +181,7 @@ def _fire_group_commit_round(server, gate, request, los):
         assert verifier.last_served in ("memory", "disk"), lo
         verifier.close()
     assert gate.calls == 2
-    return results
+    return [(lo, result) for lo, result, _ in results]
 
 
 class TestHealthAndStats:
@@ -328,7 +365,7 @@ class TestCoalescing:
             ),
             [100 + 17 * i for i in range(6)],
         )
-        for lo, (curve, _served) in results.items():
+        for lo, curve in results:
             direct = optimal_allocation_curve(
                 FLEX32, FIVE_POINT, SQUARE, list(range(lo, lo + 200))
             )
@@ -348,7 +385,7 @@ class TestCoalescing:
             ),
             [64 + 13 * i for i in range(6)],
         )
-        for lo, (surfaces, _served) in results.items():
+        for lo, surfaces in results:
             direct = run_sweep(
                 SweepSpec.across_catalog(
                     list(range(lo, lo + 120)),
@@ -363,32 +400,39 @@ class TestCoalescing:
         gate = _ParkFirstEvaluation(monkeypatch, failing=True)
         sides = [[lo + k for k in range(50)] for lo in (100, 300, 500, 700)]
         first, riders = sides[0], sides[1:]
-        outcomes: dict[int, object] = {}
+        outcomes: dict[tuple[int, str], object] = {}
 
-        def fire(axis: list[int]) -> None:
-            c = ServiceClient(server.url)
-            try:
-                outcomes[axis[0]] = c.allocation_curve("ipsc", "5-point", "square", axis)
-            except ServiceError as exc:
-                outcomes[axis[0]] = exc
-            c.close()
+        def start(axis: list[int], role: str) -> threading.Thread:
+            def fire() -> None:
+                c = ServiceClient(server.url)
+                try:
+                    outcome = c.allocation_curve("ipsc", "5-point", "square", axis)
+                except ServiceError as exc:
+                    outcome = exc
+                outcomes[axis[0], role] = outcome
+                c.close()
 
-        head = threading.Thread(target=fire, args=(first,), daemon=True)
-        head.start()
+            thread = threading.Thread(target=fire, daemon=True)
+            thread.start()
+            return thread
+
+        head = start(first, "member")
         assert gate.parked.wait(10.0)
-        threads = [
-            threading.Thread(target=fire, args=(axis,), daemon=True) for axis in riders
-        ]
-        for t in threads:
-            t.start()
+        threads = [head, *(start(axis, "member") for axis in riders)]
         _wait_for_bucket(server, len(riders))
+        # Twins of the bucket's leader and of its last rider.
+        threads += [start(riders[0], "twin"), start(riders[-1], "twin")]
+        _wait_until_waiting(len(riders) + 2)
         gate.release.set()
-        _join_all([head, *threads])
-        assert not isinstance(outcomes[first[0]], ServiceError)
-        for axis in riders:
-            error = outcomes[axis[0]]
-            assert isinstance(error, ServiceError)
-            assert "injected kernel failure" in str(error)
+        _join_all(threads)
+        assert not isinstance(outcomes[first[0], "member"], ServiceError)
+        failed = [(axis[0], "member") for axis in riders]
+        failed += [(riders[0][0], "twin"), (riders[-1][0], "twin")]
+        for key in failed:
+            error = outcomes[key]
+            assert isinstance(error, ServiceError), key
+            assert "injected kernel failure" in str(error), key
+        assert gate.calls == 2
         # The group's state was released, so the next request for it
         # runs instead of queueing behind a round nobody leads.
         _assert_batching_state_empty(server)
@@ -470,36 +514,42 @@ class TestGroupCommitCore:
         self, monkeypatch
     ):
         gate = _ParkFirstEvaluation(monkeypatch)
-        core = ServiceCore(compute_timeout_s=0.2)
+        core = ServiceCore(compute_timeout_s=1.0)
         axes = [[lo + k for k in range(40)] for lo in (100, 300, 500)]
-        outcomes: dict[int, object] = {}
+        outcomes: dict[tuple[int, str], object] = {}
 
-        def fire(axis: list[int]) -> None:
-            payload = allocation_payload("paper-bus", "5-point", "square", axis)
-            try:
-                outcomes[axis[0]] = core.compute_arrays(payload)[1]
-            except ReproError as exc:
-                outcomes[axis[0]] = exc
+        def start(axis: list[int], role: str) -> threading.Thread:
+            def fire() -> None:
+                payload = allocation_payload("paper-bus", "5-point", "square", axis)
+                try:
+                    outcomes[axis[0], role] = core.compute_arrays(payload)[1]
+                except ReproError as exc:
+                    outcomes[axis[0], role] = exc
 
-        head = threading.Thread(target=fire, args=(axes[0],), daemon=True)
-        head.start()
+            thread = threading.Thread(target=fire, daemon=True)
+            thread.start()
+            return thread
+
+        head = start(axes[0], "member")
         assert gate.parked.wait(10.0)
-        threads = [
-            threading.Thread(target=fire, args=(axis,), daemon=True) for axis in axes[1:]
-        ]
-        for t in threads:
-            t.start()
+        threads = []
+        for members, axis in enumerate(axes[1:], start=1):
+            threads.append(start(axis, "member"))
+            _wait_for_bucket(core, members)
+        threads.append(start(axes[-1], "twin"))  # a twin of the bucket's rider
         _join_all(threads)
         # The bucket behind the stuck round gave up; nobody is left
         # waiting on a round that will never be led.
-        for axis in axes[1:]:
-            assert isinstance(outcomes[axis[0]], ReproError)
-            assert "timed out" in str(outcomes[axis[0]])
-        with core._batch_lock:
-            assert list(core._groups.values()) == [None]  # only the stuck round
+        for key in [(axis[0], "member") for axis in axes[1:]] + [(axes[-1][0], "twin")]:
+            assert isinstance(outcomes[key], ReproError), key
+            assert "timed out" in str(outcomes[key]), key
+        with core._batch_lock:  # only the stuck round, holding only its own node
+            rounds = [[len(r.nodes) for r in group] for group in core._groups.values()]
+        assert rounds == [[1]]
+        assert _waiting_in_core() == 0
         gate.release.set()
         _join_all([head])
-        assert outcomes[axes[0][0]] == "computed"
+        assert outcomes[axes[0][0], "member"] == "computed"
         _assert_batching_state_empty(core)
         payload = allocation_payload("paper-bus", "5-point", "square", axes[1])
         assert core.compute_arrays(payload)[1] == "computed"
@@ -508,14 +558,16 @@ class TestGroupCommitCore:
         # More threads than cores and a short switch interval: a member
         # lost between bucket and handoff would hang, a doubled one
         # would be served twice, and a group left marked running would
-        # queue its next request forever.
+        # queue its next request forever.  Every job is submitted twice
+        # back to back, so twins race each other into the same rounds.
         core = ServiceCore()
         jobs = [
             (stencil, [lo + 7 * k for k in range(24)])
             for stencil in ("5-point", "9-point-box")
             for lo in range(64, 64 + 40 * 3, 3)
+            for _twice in range(2)
         ]
-        served: dict[tuple[str, int], tuple[dict, str]] = {}
+        served: list[tuple[tuple[str, list[int]], tuple[dict, str]]] = []
         lock = threading.Lock()
         cursor = iter(jobs)
 
@@ -529,7 +581,7 @@ class TestGroupCommitCore:
                 payload = allocation_payload("flex32", stencil, "square", axis)
                 result = core.compute_arrays(payload)
                 with lock:
-                    served[(stencil, axis[0])] = result
+                    served.append((job, result))
 
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -541,18 +593,23 @@ class TestGroupCommitCore:
         finally:
             sys.setswitchinterval(previous)
         assert len(served) == len(jobs)
-        labels = Counter(label for _, label in served.values())
-        assert set(labels) <= {"computed", "batched"}
+        labels = Counter(label for _, (_, label) in served)
+        assert set(labels) <= {"computed", "batched", "coalesced", "memory"}
         counters = core.stats_payload()["counters"]
-        assert counters["computed"] == labels["computed"]
-        assert counters["batched"] == labels["batched"]
+        assert counters["requests"] == len(jobs)
+        assert counters["hits"] == labels["memory"]
+        for label in ("computed", "batched", "coalesced"):
+            assert counters[label] == labels[label], label
+        assert (
+            counters["hits"] + counters["computed"] + counters["batched"]
+            + counters["coalesced"] == counters["requests"]
+        )
         assert core.cache.stats_snapshot()["executor_runs"] == {
             "numpy": labels["computed"]
         }
         _assert_batching_state_empty(core)
         stencils = {"5-point": FIVE_POINT, "9-point-box": NINE_POINT_BOX}
-        for stencil, axis in jobs:
-            arrays, _ = served[(stencil, axis[0])]
+        for (stencil, axis), (arrays, _) in served:
             direct = optimal_allocation_curve(FLEX32, stencils[stencil], SQUARE, axis)
             for name, value in direct.to_arrays().items():
                 np.testing.assert_array_equal(arrays[name], value)
