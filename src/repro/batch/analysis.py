@@ -126,7 +126,7 @@ class AllocationCurve:
             cycle_time=np.asarray(arrays["cycle_time"]),
             speedup=np.asarray(arrays["speedup"]),
             efficiency=np.asarray(arrays["efficiency"]),
-            regime=tuple(str(r) for r in arrays["regime"]),
+            regime=tuple(np.asarray(arrays["regime"]).tolist()),
             kind=kind,
         )
 

@@ -20,8 +20,9 @@ function over HTTP with nothing beyond the standard library:
 * :class:`ServiceClient` — typed requests (allocation curves, capacity
   plans, raw sweeps) with exact ``float`` round-tripping, so a curve
   fetched from the daemon equals the offline computation byte for byte.
-  Transport is a thread-safe keep-alive connection pool with stale-
-  socket replay and bounded exponential-backoff retry; arrays travel
+  Every request, pipelined or not, takes one raw-socket HTTP/1.1 path
+  over a thread-safe keep-alive connection pool, with stale-socket
+  replay and bounded exponential-backoff retry; arrays travel
   as zero-copy binary frames (:mod:`repro.service.frame`).
 * :class:`RemoteSweepCache` — a :class:`~repro.batch.SweepCache` whose
   slow tier is the daemon instead of a local directory; the experiment

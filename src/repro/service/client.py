@@ -8,13 +8,19 @@ deduplicated store while still counting its own hits and misses (the
 counts a report can aggregate — a daemon-side hit is invisible to a
 worker's local stats otherwise).
 
-Transport: every client owns a thread-safe pool of keep-alive
-``http.client.HTTPConnection`` objects, so a warm request costs one
-socket write, not a TCP handshake.  A stale pooled socket (the server
-closed an idle keep-alive connection) is replayed once on a fresh
-connection; genuinely transient transport errors get a bounded
-exponential-backoff retry — on by default for the idempotent surface
-(GETs and the pure ``/v1/compute`` POSTs), off by default for PUTs.
+Transport: every request — one compute, a pipelined batch, ``/healthz``,
+``/v1/stats``, a cache GET or PUT — is written as raw HTTP/1.1 bytes to
+a keep-alive socket (Nagle off) from a thread-safe pool, and its reply
+is read back by one small buffered parser.  A warm request therefore
+costs one socket write and one read, not a TCP handshake.  The parser
+frames replies by ``Content-Length`` only, which is all the daemon
+sends; a chunked or close-delimited reply is a protocol error, never a
+misread body.  A stale pooled socket (the server closed an idle
+keep-alive connection) is replayed on a fresh connection; genuinely
+transient transport errors get a bounded exponential-backoff retry — on
+by default for the idempotent surface (GETs and the pure
+``/v1/compute`` POSTs), off by default for PUTs.  One loop does both
+for every request.
 
 Protocol: arrays travel as binary frames (:mod:`repro.service.frame`)
 both ways — compute results and cache entries come back as frames, and
@@ -32,12 +38,12 @@ requests down one pooled keep-alive socket before reading the first
 response (HTTP/1.1 pipelining).  The daemon computes the requests
 concurrently on its worker pool while the responses come back in
 order — one connection, no client threads, and the per-request round
-trip amortized across the window.
+trip amortized across the window.  :meth:`ServiceClient.compute` is the
+same path at depth 1.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
 import socket
@@ -72,78 +78,23 @@ class ServiceError(ReproError, RuntimeError):
     """The sweep server rejected a request or could not be reached."""
 
 
-#: Transport failures worth replaying: the connection died under the
-#: request (reset, refused mid-restart, no status line, a keep-alive
-#: socket the server already closed).  Timeouts are deliberately *not*
-#: here — replaying a slow compute doubles it.
-_TRANSIENT_ERRORS = (
-    ConnectionError,
-    http.client.BadStatusLine,
-    http.client.CannotSendRequest,
-    http.client.ImproperConnectionState,
-)
+class _ProtocolError(Exception):
+    """A reply this client cannot frame: not worth a retry."""
 
 
-class _PooledConnection(http.client.HTTPConnection):
-    """A keep-alive connection with Nagle off.
-
-    Request and response each fit one small burst; letting Nagle hold
-    the last segment behind a delayed ACK costs ~40 ms per round trip
-    on an otherwise ~1 ms warm hit.
-    """
-
-    def connect(self) -> None:
-        super().connect()
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-
-
-class _ConnectionPool:
-    """A bounded stack of reusable keep-alive connections to one host.
-
-    ``acquire`` pops an idle connection (or makes a fresh one);
-    ``release`` returns a healthy connection for the next request,
-    closing it instead once ``size`` are already idle.  Threads beyond
-    ``size`` are never blocked — they just pay for a fresh socket.
-    """
-
-    def __init__(self, host: str, port: int, timeout: float, size: int) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.size = max(1, int(size))
-        self._lock = threading.Lock()
-        self._idle: list[http.client.HTTPConnection] = []  # guarded-by: _lock
-
-    def acquire(self) -> tuple[http.client.HTTPConnection, bool]:
-        """``(connection, pooled)`` — ``pooled`` means it may be stale."""
-        with self._lock:
-            if self._idle:
-                return self._idle.pop(), True
-        return _PooledConnection(self.host, self.port, timeout=self.timeout), False
-
-    def release(self, connection: http.client.HTTPConnection) -> None:
-        with self._lock:
-            if len(self._idle) < self.size:
-                self._idle.append(connection)
-                return
-        connection.close()
-
-    def close(self) -> None:
-        with self._lock:
-            idle = self._idle
-            self._idle = []
-        for connection in idle:
-            connection.close()
+#: ``(status, content type, body)`` of one reply.
+_Reply = tuple[int, str, bytes]
 
 
 class _SocketReader:
-    """Minimal buffered HTTP/1.1 response reader for the pipelined path.
+    """Minimal buffered HTTP/1.1 response reader.
 
-    ``http.client`` insists on one response per ``request()`` call;
-    pipelining needs N responses off one socket without touching its
-    state machine.  This reader parses exactly what the sweep daemon
-    sends — a status line, headers, and a ``Content-Length`` body — and
-    leaves any unconsumed bytes buffered for the next response.
+    Parses exactly what the sweep daemon sends — a status line, headers,
+    and a ``Content-Length`` body — and leaves any unconsumed bytes
+    buffered for the next response, so N pipelined replies come off one
+    socket.  A reply without ``Content-Length``, or with any
+    ``Transfer-Encoding``, raises :class:`_ProtocolError`: its body
+    could not be delimited.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -158,33 +109,153 @@ class _SocketReader:
     def _fill(self) -> None:
         chunk = self._sock.recv(65536)
         if not chunk:
-            raise ConnectionError("server closed the connection mid-pipeline")
+            raise ConnectionError("server closed the connection")
         self._buffer += chunk
 
     def read_response(self) -> tuple[int, str, bytes, bool]:
-        """One pipelined response: ``(status, content_type, body, close)``."""
+        """One response: ``(status, content_type, body, close)``."""
         while True:
             end = self._buffer.find(b"\r\n\r\n")
             if end >= 0:
                 break
             self._fill()
-        lines = bytes(self._buffer[:end]).decode("latin-1").split("\r\n")
+        lines = self._buffer[:end].decode("latin-1").split("\r\n")
         del self._buffer[: end + 4]
         parts = lines[0].split(None, 2)
-        if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-            raise http.client.BadStatusLine(lines[0])
-        status = int(parts[1])
+        if (
+            len(parts) < 2
+            or not parts[0].startswith("HTTP/1.")
+            or not parts[1].isdigit()
+        ):
+            raise _ProtocolError(f"bad status line {lines[0]!r}")
         headers: dict[str, str] = {}
         for line in lines[1:]:
             name, _sep, value = line.partition(":")
             headers[name.lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
+        if "transfer-encoding" in headers:
+            raise _ProtocolError(
+                f"unsupported Transfer-Encoding {headers['transfer-encoding']!r}"
+            )
+        raw_length = headers.get("content-length")
+        if raw_length is None or not raw_length.isdigit():
+            raise _ProtocolError(f"bad or missing Content-Length {raw_length!r}")
+        length = int(raw_length)
         while len(self._buffer) < length:
             self._fill()
-        body = bytes(self._buffer[:length])
-        del self._buffer[:length]
-        close = "close" in headers.get("connection", "").lower()
-        return status, headers.get("content-type", ""), body, close
+        if len(self._buffer) == length:
+            body = bytes(self._buffer)
+            self._buffer.clear()
+        else:
+            body = bytes(self._buffer[:length])
+            del self._buffer[:length]
+        connection = headers.get("connection", "").lower()
+        close = "close" in connection or (
+            parts[0] == "HTTP/1.0" and "keep-alive" not in connection
+        )
+        return int(parts[1]), headers.get("content-type", ""), body, close
+
+
+class _Connection:
+    """One keep-alive socket to the daemon, connected on first use.
+
+    Nagle is off: request and response each fit one small burst, and
+    letting Nagle hold the last segment behind a delayed ACK costs
+    ~40 ms per round trip on an otherwise sub-millisecond warm hit.
+    """
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self._address = (host, port)
+        self._timeout = timeout
+        self.sock: socket.socket | None = None
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
+
+    def exchange(self, requests: Sequence[bytes], depth: int) -> list[_Reply]:
+        """Send ``requests`` and read their replies, in order.
+
+        Keeps a window: at most ``depth`` requests are on the wire ahead
+        of the replies read back, which matches the server's own
+        per-connection in-flight bound instead of blasting the whole
+        batch blind.  Any failure, including a reply that closes the
+        connection before the last one, closes the socket and
+        propagates.  A socket the server closed, or one holding unread
+        bytes, is closed too, so the pool drops it.
+        """
+        try:
+            sock = self.sock
+            if sock is None:
+                sock = socket.create_connection(self._address, timeout=self._timeout)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self.sock = sock
+            reader = _SocketReader(sock)
+            replies: list[_Reply] = []
+            sent = 0
+            closed = False
+            while len(replies) < len(requests):
+                # Refill the window once half of it has drained, in one
+                # write: fewer, larger segments for both ends to handle.
+                if sent < len(requests) and sent - len(replies) <= depth // 2:
+                    upto = min(len(requests), len(replies) + depth)
+                    sock.sendall(
+                        requests[sent] if upto == sent + 1
+                        else b"".join(requests[sent:upto])
+                    )
+                    sent = upto
+                status, ctype, body, closed = reader.read_response()
+                replies.append((status, ctype, body))
+                if closed and len(replies) < len(requests):
+                    raise ConnectionError("server closed the connection mid-pipeline")
+        except BaseException:
+            self.close()
+            raise
+        if closed or not reader.clean:
+            self.close()
+        return replies
+
+
+class _ConnectionPool:
+    """A bounded stack of reusable keep-alive connections to one host.
+
+    ``acquire`` pops an idle connection (or makes a fresh one);
+    ``release`` returns a healthy connection for the next request,
+    closing it instead once ``size`` are already idle, and dropping one
+    whose socket is already closed.  Threads beyond ``size`` are never
+    blocked — they just pay for a fresh socket.
+    """
+
+    def __init__(self, host: str, port: int, timeout: float, size: int) -> None:
+        self.host = host
+        self.port = port
+        self.timeout = timeout
+        self.size = max(1, int(size))
+        self._lock = threading.Lock()
+        self._idle: list[_Connection] = []  # guarded-by: _lock
+
+    def acquire(self) -> tuple[_Connection, bool]:
+        """``(connection, pooled)`` — ``pooled`` means it may be stale."""
+        with self._lock:
+            if self._idle:
+                return self._idle.pop(), True
+        return _Connection(self.host, self.port, self.timeout), False
+
+    def release(self, connection: _Connection) -> None:
+        if connection.sock is None:
+            return
+        with self._lock:
+            if len(self._idle) < self.size:
+                self._idle.append(connection)
+                return
+        connection.close()
+
+    def close(self) -> None:
+        with self._lock:
+            idle = self._idle
+            self._idle = []
+        for connection in idle:
+            connection.close()
 
 
 class ServiceClient:
@@ -250,6 +321,7 @@ class ServiceClient:
         self._pool = _ConnectionPool(
             split.hostname or "127.0.0.1", split.port or 80, timeout, pool_size
         )
+        self._host_line = f"Host: {self._pool.host}:{self._pool.port}\r\n"
         #: How the server answered the most recent compute call —
         #: ``memory``/``disk``/``coalesced``/``batched``/``computed``.
         self.last_served: str | None = None
@@ -270,45 +342,48 @@ class ServiceClient:
         """
         return self._rng.uniform(0.0, self.backoff_s * (2.0**attempt))
 
-    def _request(
+    def _raw_request(
         self,
+        method: str,
         path: str,
         data: bytes | None = None,
-        method: str = "GET",
         content_type: str | None = None,
         accept: str | None = None,
-        idempotent: bool = True,
-    ) -> tuple[int, str, bytes]:
-        """One request over a pooled connection: ``(status, ctype, body)``.
+    ) -> bytes:
+        """One request as the bytes that go on the wire."""
+        head = f"{method} {self._prefix}{path} HTTP/1.1\r\n{self._host_line}"
+        if content_type is not None:
+            head += f"Content-Type: {content_type}\r\n"
+        if accept is not None:
+            head += f"Accept: {accept}\r\n"
+        if data is None:
+            return (head + "\r\n").encode("ascii")
+        return (head + f"Content-Length: {len(data)}\r\n\r\n").encode("ascii") + data
+
+    def _exchange(
+        self, requests: Sequence[bytes], depth: int, replayable: bool
+    ) -> list[_Reply]:
+        """Send ``requests`` over a pooled connection; their replies, in order.
 
         A transport failure on a *pooled* connection is replayed on a
         fresh socket without consuming the retry budget — that is the
         normal fate of a keep-alive socket the server timed out, not a
         server problem.  Fresh-connection failures consume ``retries``
-        with exponential backoff.  Non-idempotent requests (PUTs) get
-        neither unless ``retry_non_idempotent`` is set.
+        with full-jitter backoff.  Either replay resends every request,
+        so only a ``replayable`` batch gets them.  Timeouts and replies
+        that cannot be framed are never retried.
         """
-        headers: dict[str, str] = {}
-        if content_type is not None:
-            headers["Content-Type"] = content_type
-        if accept is not None:
-            headers["Accept"] = accept
-        replayable = idempotent or self.retry_non_idempotent
         attempts = 0
         replays = 0
         while True:
             connection, pooled = self._pool.acquire()
             try:
-                connection.request(method, self._prefix + path, body=data, headers=headers)
-                response = connection.getresponse()
-                body = response.read()
+                replies = connection.exchange(requests, depth)
             except TimeoutError:
-                connection.close()
                 raise ServiceError(
                     f"sweep server timed out at {self.base_url} after {self.timeout}s"
                 ) from None
-            except _TRANSIENT_ERRORS as exc:
-                connection.close()
+            except ConnectionError as exc:
                 if replayable and pooled and replays <= self._pool.size:
                     replays += 1  # a stale keep-alive socket, not a failure
                     continue
@@ -321,15 +396,35 @@ class ServiceClient:
                     f"{type(exc).__name__}: {exc}"
                 ) from None
             except OSError as exc:
-                connection.close()
                 raise ServiceError(
                     f"sweep server unreachable at {self.base_url}: {exc}"
                 ) from None
-            if response.will_close:
-                connection.close()
-            else:
-                self._pool.release(connection)
-            return response.status, response.headers.get("Content-Type") or "", body
+            except _ProtocolError as exc:
+                raise ServiceError(
+                    f"sweep server at {self.base_url} sent a malformed response: {exc}"
+                ) from None
+            self._pool.release(connection)
+            return replies
+
+    def _request(
+        self,
+        path: str,
+        data: bytes | None = None,
+        method: str = "GET",
+        content_type: str | None = None,
+        accept: str | None = None,
+        idempotent: bool = True,
+    ) -> tuple[int, str, bytes]:
+        """One request over a pooled connection: ``(status, ctype, body)``.
+
+        Non-idempotent requests (PUTs) are neither replayed nor retried
+        unless ``retry_non_idempotent`` is set.
+        """
+        request = self._raw_request(method, path, data, content_type, accept)
+        (reply,) = self._exchange(
+            [request], 1, idempotent or self.retry_non_idempotent
+        )
+        return reply
 
     def _parse_json(self, status: int, body: bytes, path: str) -> dict[str, Any]:
         try:
@@ -364,11 +459,7 @@ class ServiceClient:
     def _decode_compute_response(
         self, status: int, ctype: str, body: bytes
     ) -> dict[str, np.ndarray]:
-        """Decode one ``/v1/compute`` response: a frame, or a JSON error.
-
-        Shared by the sequential and pipelined paths, so both see the
-        same errors and the same ``last_served`` observability.
-        """
+        """Decode one ``/v1/compute`` response: a frame, or a JSON error."""
         if not ctype.startswith(FRAME_CONTENT_TYPE):
             self._parse_json(status, body, "/v1/compute")  # raises the error
             raise ServiceError(f"sweep server answered {ctype!r}, not a frame")
@@ -383,74 +474,7 @@ class ServiceClient:
 
     def compute(self, payload: Mapping[str, Any]) -> dict[str, np.ndarray]:
         """POST one request; returns the named arrays, bit-exact."""
-        status, ctype, body = self._request(
-            "/v1/compute",
-            json.dumps(payload).encode(),
-            method="POST",
-            content_type="application/json",
-            accept=FRAME_CONTENT_TYPE,
-        )
-        return self._decode_compute_response(status, ctype, body)
-
-    # ------------------------------------------------------------- pipelining
-
-    def _raw_compute_request(self, body: bytes) -> bytes:
-        """One ``/v1/compute`` POST as raw wire bytes (pipelined path)."""
-        return (
-            f"POST {self._prefix}/v1/compute HTTP/1.1\r\n"
-            f"Host: {self._pool.host}:{self._pool.port}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Accept: {FRAME_CONTENT_TYPE}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "\r\n"
-        ).encode("ascii") + body
-
-    def _pipeline_once(
-        self, requests: list[bytes], depth: int
-    ) -> list[tuple[int, str, bytes]]:
-        """One pipelined pass over a pooled socket; raises on transport loss.
-
-        Keeps a window: at most ``depth`` requests are on the wire ahead
-        of the responses read back, which matches the server's own
-        per-connection in-flight bound instead of blasting the whole
-        batch blind.
-        """
-        # A stale pooled socket surfaces as a transport error here and is
-        # replayed by compute_many under the same bound as _request.
-        connection, _pooled = self._pool.acquire()
-        try:
-            if connection.sock is None:
-                connection.connect()
-            sock = connection.sock
-            assert sock is not None  # connect() either sets it or raises
-            reader = _SocketReader(sock)
-            results: list[tuple[int, str, bytes]] = []
-            sent = 0
-            closed = False
-            while len(results) < len(requests):
-                # Refill the window once half of it has drained, in one
-                # write: fewer, larger segments for both ends to handle.
-                if sent < len(requests) and sent - len(results) <= depth // 2:
-                    upto = min(len(requests), len(results) + depth)
-                    sock.sendall(b"".join(requests[sent:upto]))
-                    sent = upto
-                status, ctype, body, closed = reader.read_response()
-                results.append((status, ctype, body))
-                if closed and len(results) < len(requests):
-                    raise ConnectionError(
-                        "server closed the connection mid-pipeline"
-                    )
-            if closed or not reader.clean:
-                connection.close()
-            else:
-                # Every response byte was consumed: the keep-alive
-                # socket is position-clean and reusable.  (http.client
-                # never touched it, so the connection object is too.)
-                self._pool.release(connection)
-            return results
-        except BaseException:
-            connection.close()
-            raise
+        return self.compute_many([payload], pipeline=1)[0]
 
     def compute_many(
         self,
@@ -459,61 +483,42 @@ class ServiceClient:
     ) -> list[dict[str, np.ndarray]]:
         """POST many requests, pipelined; one result list, request order.
 
-        With ``pipeline`` (or the constructor default) above 1, up to
-        that many requests are written to one pooled keep-alive socket
-        before the first response is read — the server computes them
-        concurrently and streams the responses back in order.  Each
-        result is decoded exactly as :meth:`compute` would decode it;
-        a request the server rejected raises :class:`ServiceError`
-        naming its index.
+        Up to ``pipeline`` (or the constructor default) requests are
+        written to one pooled keep-alive socket before the first
+        response is read — the server computes them concurrently and
+        streams the responses back in order.  Depth 1 is plain
+        request-response, which is what :meth:`compute` uses.  Each
+        result is decoded the same way; when a batch has more than one
+        request, a request the server rejected raises
+        :class:`ServiceError` naming its index.
 
         ``/v1/compute`` is pure (same request, same bytes), so a
-        transport failure mid-pipeline replays the whole batch under
-        the same stale-socket-then-bounded-retries contract as
-        :meth:`_request`.
+        transport failure replays the whole batch under the
+        stale-socket-then-bounded-retries contract of :meth:`_exchange`.
         """
         depth = self.pipeline if pipeline is None else max(1, int(pipeline))
         if not payloads:
             return []
-        if depth <= 1 or len(payloads) == 1:
-            return [self.compute(payload) for payload in payloads]
         requests = [
-            self._raw_compute_request(json.dumps(payload).encode())
+            self._raw_request(
+                "POST",
+                "/v1/compute",
+                json.dumps(payload).encode(),
+                "application/json",
+                FRAME_CONTENT_TYPE,
+            )
             for payload in payloads
         ]
-        attempts = 0
-        replays = 0
-        while True:
-            try:
-                responses = self._pipeline_once(requests, depth)
-                break
-            except TimeoutError:
-                raise ServiceError(
-                    f"sweep server timed out at {self.base_url} after {self.timeout}s"
-                ) from None
-            except _TRANSIENT_ERRORS as exc:
-                if replays <= self._pool.size:
-                    replays += 1  # a stale keep-alive socket, not a failure
-                    continue
-                if attempts < self.retries:
-                    time.sleep(self._retry_delay(attempts))
-                    attempts += 1
-                    continue
-                raise ServiceError(
-                    f"sweep server unreachable at {self.base_url}: "
-                    f"{type(exc).__name__}: {exc}"
-                ) from None
-            except OSError as exc:
-                raise ServiceError(
-                    f"sweep server unreachable at {self.base_url}: {exc}"
-                ) from None
+        replies = self._exchange(requests, depth, replayable=True)
         results: list[dict[str, np.ndarray]] = []
-        for index, (status, ctype, body) in enumerate(responses):
+        for index, reply in enumerate(replies):
             try:
-                results.append(self._decode_compute_response(status, ctype, body))
+                results.append(self._decode_compute_response(*reply))
             except ServiceError as exc:
+                if len(replies) == 1:
+                    raise
                 raise ServiceError(
-                    f"pipelined request {index} of {len(responses)} failed: {exc}"
+                    f"pipelined request {index} of {len(replies)} failed: {exc}"
                 ) from None
         return results
 

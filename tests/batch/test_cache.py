@@ -23,8 +23,10 @@ from repro.batch import (
     run_sweep,
 )
 from repro.batch.cache import _MEMO_ATTR, _canonical
-from repro.batch.frame import frame_bytes
+from repro.batch.analysis import AllocationCurve, _compute_allocation_curve
+from repro.batch.frame import decode_frame, frame_bytes
 from repro.batch.sim import ReplicaBatchSpec
+from repro.core.parameters import DEFAULT_T_FLOP
 from repro.errors import InvalidParameterError
 from repro.machines.bus import AsynchronousBus, SynchronousBus
 from repro.graph import nodes as graph_nodes
@@ -324,6 +326,24 @@ class TestSweepCacheLevels:
         assert warm.stats.disk_hits == 1 and warm.stats.misses == 0
         np.testing.assert_array_equal(c1.cycle_time, c2.cycle_time)
         assert c1.regime == c2.regime  # string arrays survive the frame round trip
+        # Whether assembled from the read-only ``<U`` view a decoded frame
+        # holds or from an in-memory array, ``regime`` is a tuple of
+        # built-in ``str`` equal to the kernel's own.
+        direct = _compute_allocation_curve(
+            PAPER_BUS, FIVE_POINT, SQUARE, np.asarray(SIDES, dtype=float),
+            DEFAULT_T_FLOP, None, True,
+        )
+        arrays, _meta = decode_frame(frame_bytes(direct.to_arrays()))
+        view = arrays["regime"]
+        assert view.dtype.kind == "U" and not view.flags.writeable
+        for regime in (view, np.array(direct.regime)):
+            curve = AllocationCurve.from_arrays({**arrays, "regime": regime}, SQUARE)
+            assert type(curve.regime) is tuple
+            assert all(type(r) is str for r in curve.regime)
+            assert curve.regime == direct.regime
+        for curve in (c1, c2):
+            assert all(type(r) is str for r in curve.regime)
+            assert curve.regime == direct.regime
 
     def test_lookup_memory_never_reads_disk_or_counts_a_miss(self, tmp_path):
         key = "e" * 64

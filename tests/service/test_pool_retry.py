@@ -6,12 +6,14 @@ that drops the first N connection attempts — so these tests build
 in-process servers that misbehave *on demand* and pin the client
 contract: stale sockets are replayed invisibly, transient errors are
 retried with bounded backoff on the idempotent surface, and PUTs are
-never retried unless the caller opts in.
+never retried unless the caller opts in.  Raw-socket stubs pin how a
+reply is framed: only by ``Content-Length``, never by a guess.
 """
 
 from __future__ import annotations
 
 import random
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -71,6 +73,7 @@ class _OkHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     close_after_response = False  # claim keep-alive, then hang up anyway
+    extra_headers: tuple[tuple[str, str], ...] = ()
 
     def log_message(self, format, *args):
         pass
@@ -81,6 +84,8 @@ class _OkHandler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        for name, value in self.extra_headers:
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
         if self.close_after_response:
@@ -96,6 +101,74 @@ class _OneShotHandler(_OkHandler):
     close_after_response = True
 
 
+class _PathHandler(_OkHandler):
+    """Records every request path it is asked for."""
+
+    def _respond(self):
+        with self.server.lock:
+            self.server.paths.append(self.path)
+        super()._respond()
+
+    do_GET = do_POST = do_PUT = _respond
+
+
+class _ClosingHandler(_OkHandler):
+    """Answers, advertises ``Connection: close``, and hangs up."""
+
+    extra_headers = (("Connection", "close"),)
+
+
+class _CannedServer:
+    """A raw socket server that answers every request with fixed bytes.
+
+    Each accepted connection reads one request head, writes ``reply``
+    (nothing at all when it is ``None``: a stalled server), and then
+    closes the socket — so a body without ``Content-Length`` is
+    delimited only by the close, as a chunked or HTTP/1.0-style reply
+    would be.
+    """
+
+    def __init__(self, reply: bytes | None) -> None:
+        self.reply = reply
+        self.connections = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)  # poll, so close() is prompt
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self._listener.getsockname()[1]}"
+
+    def _serve(self) -> None:
+        while not self._stop.is_set():
+            try:
+                conn, _addr = self._listener.accept()
+            except TimeoutError:
+                continue
+            except OSError:
+                return
+            conn.settimeout(None)
+            self.connections += 1
+            with conn:
+                head = b""
+                while b"\r\n\r\n" not in head:
+                    chunk = conn.recv(65536)
+                    if not chunk:
+                        break
+                    head += chunk
+                if self.reply is None:
+                    self._stop.wait(5.0)
+                else:
+                    conn.sendall(self.reply)
+
+    def close(self) -> None:
+        self._stop.set()
+        self._listener.close()
+        self._thread.join(timeout=5.0)
+
+
 @pytest.fixture()
 def flaky():
     server = _FlakyServer(_OkHandler)
@@ -104,6 +177,40 @@ def flaky():
     yield server
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture()
+def paths():
+    server = _FlakyServer(_PathHandler)
+    server.paths = []
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture()
+def closing():
+    server = _FlakyServer(_ClosingHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture()
+def canned():
+    servers = []
+
+    def start(reply: bytes | None) -> _CannedServer:
+        servers.append(_CannedServer(reply))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
 
 
 @pytest.fixture()
@@ -234,6 +341,100 @@ class TestBackoffJitter:
         first = self._recorded_sleeps(flaky, monkeypatch, random.Random(1))
         second = self._recorded_sleeps(flaky, monkeypatch, random.Random(2))
         assert first != second
+
+
+class TestClientContract:
+    """What the one transport keeps from the HTTP library it replaced."""
+
+    def test_base_url_path_prefix_reaches_the_server(self, paths):
+        client = ServiceClient(paths.url + "/prefix/")
+        client.health()
+        client.stats()
+        client.cache_put("b" * 64, {"x": np.zeros(3)})
+        with paths.lock:
+            assert paths.paths == [
+                "/prefix/healthz",
+                "/prefix/v1/stats",
+                "/prefix/v1/cache/" + "b" * 64,
+            ]
+
+    def test_stalled_server_raises_a_timeout(self, canned):
+        stalled = canned(None)
+        client = ServiceClient(stalled.url, timeout=0.2, retries=2, backoff_s=0.01)
+        with pytest.raises(ServiceError, match="timed out"):
+            client.health()
+        assert stalled.connections == 1  # a timeout is never retried
+
+    def test_connection_close_reply_is_not_pooled(self, closing):
+        client = ServiceClient(closing.url, retries=0)
+        for _ in range(3):
+            assert client.health()["status"] == "ok"
+            with client._pool._lock:
+                assert client._pool._idle == []
+        with closing.lock:
+            # A fresh connection per request, and no stale-socket replay.
+            assert closing.connections == 3
+            assert closing.requests == 3
+
+    def test_keep_alive_reply_is_pooled(self, flaky):
+        client = ServiceClient(flaky.url)
+        client.health()
+        with client._pool._lock:
+            (idle,) = client._pool._idle
+        assert idle.sock is not None
+
+
+class TestStrictFraming:
+    """A reply whose body cannot be delimited by ``Content-Length``."""
+
+    BODY = b'{"status": "ok"}'
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n",
+            b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Transfer-Encoding: chunked\r\nContent-Length: 16\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: sixteen\r\n\r\n",
+            b"HTTP/1.1 OK 200\r\nContent-Length: 16\r\n\r\n",
+        ],
+        ids=[
+            "no-length",
+            "http-1.0-close-delimited",
+            "chunked",
+            "chunked-with-length",
+            "bad-length",
+            "bad-status-line",
+        ],
+    )
+    def test_unframeable_reply_is_a_protocol_error(self, canned, head):
+        if b"chunked" in head:
+            body = b"%x\r\n%s\r\n0\r\n\r\n" % (len(self.BODY), self.BODY)
+        else:
+            body = self.BODY
+        server = canned(head + body)
+        client = ServiceClient(server.url, retries=2, backoff_s=0.01)
+        with pytest.raises(ServiceError, match="malformed response"):
+            client.health()
+        assert server.connections == 1  # not retried: the reply is wrong
+        with client._pool._lock:
+            assert client._pool._idle == []
+
+    def test_compute_surfaces_the_protocol_error(self, canned):
+        server = canned(b"HTTP/1.1 200 OK\r\n\r\n")
+        client = ServiceClient(server.url)
+        with pytest.raises(ServiceError, match="Content-Length"):
+            client.compute({"kind": "allocation_curve"})
+
+    def test_length_framed_reply_is_read_exactly(self, canned):
+        server = canned(
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(self.BODY), self.BODY)
+        )
+        assert ServiceClient(server.url).health() == {"status": "ok"}
 
 
 class TestAgainstTheRealDaemon:
