@@ -16,18 +16,23 @@ Subcommands
 ``serve``
     Long-running sweep server: plan/optimize/sweep over HTTP with a
     shared, size-bounded, deduplicated result cache.
+``lint``
+    Static invariant checks over the ``repro`` source tree.
 
-``optimize`` and ``plan`` also run in whole-curve mode: ``--grid
-LO:HI[:STEP]`` (or an explicit comma list) sweeps the axis through the
-vectorized analysis layer and ``--cache-dir`` serves repeats from the
-content-addressed sweep cache (``--max-cache-mb`` bounds it).  With
-``--server URL`` both commands route through a
-running ``repro serve`` daemon instead of computing locally — the
-output is byte-identical either way.  Both commands also take
-``--explain`` (print the optimized sweep graph — nodes, fusion groups,
-cache hits — without executing anything) and ``--executor`` (pick the
-graph backend: the default vectorized ``numpy`` executor or the scalar
-``oracle`` reference; the rendered bytes are identical on both).
+``optimize``, ``plan`` and ``simulate`` each answer with one request of
+one family in :mod:`repro.graph.families` (``allocation_curve``,
+``plan`` and ``sim_sweep``).  Offline the request is planned and
+executed in process; ``--cache-dir`` serves repeats from the
+content-addressed sweep cache, in point mode too, and ends the output
+with a ``sweep cache:`` line (``--max-cache-mb`` bounds the store).
+With ``--server URL`` the same request goes to a running ``repro
+serve`` daemon instead.  ``--explain`` prints the planned sweep graph
+(nodes, fusion groups, cache hits) without executing anything, and
+``--executor`` picks the graph backend: the default vectorized
+``numpy`` executor or the scalar ``oracle`` reference.  Every route
+renders the same bytes.  ``optimize`` and ``plan`` also run in
+whole-curve mode: ``--grid LO:HI[:STEP]`` (or an explicit comma list)
+sweeps grid sides or machine sizes.
 
 Examples::
 
@@ -52,16 +57,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.core.allocation import optimize_allocation
-from repro.core.minimal_size import max_useful_processors, minimal_grid_side
-from repro.core.parameters import Workload
 from repro.errors import InvalidParameterError
 from repro.machines.bus import BusArchitecture
-from repro.machines.catalog import DEFAULT_MACHINES, by_name
+from repro.machines.catalog import DEFAULT_MACHINES
 from repro.report.tables import format_kv_block, format_table
 from repro.stencils.library import ALL_STENCILS
-from repro.stencils.library import by_name as stencil_by_name
-from repro.stencils.perimeter import PartitionKind
 
 __all__ = ["main", "build_parser", "parse_axis"]
 
@@ -92,14 +92,6 @@ def parse_axis(spec: str) -> list[int]:
         raise InvalidParameterError(f"bad --grid axis {spec!r}: {exc}") from None
 
 
-def _open_cache(cache_dir: Path | None, max_cache_mb: float | None = None):
-    if cache_dir is None:
-        return None
-    from repro.batch.cache import SweepCache, max_cache_bytes
-
-    return SweepCache(cache_dir, max_bytes=max_cache_bytes(max_cache_mb))
-
-
 def _reject_server_plus_cache(
     args: argparse.Namespace, locally_meaningful: tuple[str, ...] = ()
 ) -> None:
@@ -107,8 +99,8 @@ def _reject_server_plus_cache(
 
     ``experiments --server`` passes ``locally_meaningful`` for the flags
     that still act in this process — ``--max-cache-mb`` bounds each
-    worker's memory tier — while for ``optimize``/``plan`` the daemon
-    owns store and bound.
+    worker's memory tier — while for ``optimize``, ``plan`` and
+    ``simulate`` the daemon owns store and bound.
     """
     if not getattr(args, "server", None):
         if getattr(args, "executor", "numpy") != "numpy":
@@ -158,228 +150,103 @@ def _cmd_machines(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _evaluate(args: argparse.Namespace, render, op: str, **params) -> int:
+    """Answer a command with one request of the ``op`` family.
+
+    ``params`` are the family's builder arguments, machines and stencils
+    by catalog name.  With ``--server`` the family's wire payload goes
+    to the daemon; otherwise its node is planned on ``--executor``
+    against the ``--cache-dir`` store, then explained or executed.
+    ``render(args, arrays)`` prints the result, so every route prints
+    the same bytes.
+    """
+    from repro.graph.families import family_for
+
+    family = family_for(op)
+    if args.server:
+        from repro.service import ServiceClient
+
+        client = ServiceClient(args.server)
+        try:
+            arrays = client.compute(family.payload(**params))
+        finally:
+            client.close()
+        render(args, arrays)
+        return 0
+    from repro.batch.cache import SweepCache, max_cache_bytes
+    from repro.graph.planner import plan as plan_graph
+
+    cache = None
+    if args.cache_dir is not None:
+        cache = SweepCache(args.cache_dir, max_bytes=max_cache_bytes(args.max_cache_mb))
+    plan = plan_graph([family.node(**params)], cache=cache, executor=args.executor)
+    if args.explain:
+        print(plan.explain())
+        return 0
+    render(args, plan.execute()[0])
+    if cache is not None:
+        print()
+        print(f"sweep cache: {cache.stats.describe()}")
+    return 0
+
+
 # --------------------------------------------------------------------------
 # optimize
 # --------------------------------------------------------------------------
 
+#: ``allocation_curve`` result columns, and their labels.
+_ALLOCATION_COLUMNS = (
+    "grid_sides", "regime", "processors", "area", "cycle_time", "speedup", "efficiency"
+)
+_ALLOCATION_LABELS = (
+    "n", "regime", "processors", "points per processor", "cycle time (s)", "speedup", "efficiency"
+)
 
-def _render_optimize_point(
-    args: argparse.Namespace,
-    kind: PartitionKind,
-    regime: str,
-    processors: float,
-    area: float,
-    cycle_time: float,
-    speedup: float,
-    efficiency: float,
-) -> None:
-    """One allocation as a kv block — the shape both the offline scalar
-    path and the daemon-served path feed, so their bytes can't drift."""
+
+def _render_optimize(args: argparse.Namespace, arrays) -> None:
+    """One row per grid side; point mode prints its one row as a kv block."""
+    rows = [
+        (int(n), regime, round(p, 2), round(area, 1), cycle_time, round(s, 3), round(e, 3))
+        for n, regime, p, area, cycle_time, s, e in zip(
+            *(arrays[name].tolist() for name in _ALLOCATION_COLUMNS)
+        )
+    ]
+    if args.grid is None:
+        problem = {
+            "machine": args.machine,
+            "grid": f"{args.n} x {args.n}",
+            "stencil": args.stencil,
+            "partition": args.partition,
+        }
+        allocation = dict(zip(_ALLOCATION_LABELS[1:], rows[0][1:]))
+        print(format_kv_block({**problem, **allocation}, title="Optimal allocation"))
+        return
     print(
-        format_kv_block(
-            {
-                "machine": args.machine,
-                "grid": f"{args.n} x {args.n}",
-                "stencil": args.stencil,
-                "partition": kind.value,
-                "regime": regime,
-                "processors": round(processors, 2),
-                "points per processor": round(area, 1),
-                "cycle time (s)": cycle_time,
-                "speedup": round(speedup, 3),
-                "efficiency": round(efficiency, 3),
-            },
-            title="Optimal allocation",
+        format_table(
+            list(_ALLOCATION_LABELS),
+            rows,
+            title=(
+                f"Optimal allocation curve: {args.machine}, {args.stencil}, "
+                f"{args.partition} partitions, {len(rows)} grid sides"
+            ),
         )
     )
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     _reject_server_plus_cache(args)
-    machine = by_name(args.machine)
-    kind = PartitionKind(args.partition)
-    if args.explain:
-        return _optimize_explain(args, machine, kind)
-    if args.grid is not None:
-        return _optimize_grid(args, machine, kind)
-    if args.server:
-        # A one-point curve: element 0 equals the scalar optimizer bit
-        # for bit (the analysis layer's pinned contract), so the block
-        # below renders the same bytes the offline branch prints.
-        from repro.service import ServiceClient
-
-        curve = ServiceClient(args.server).allocation_curve(
-            args.machine,
-            args.stencil,
-            kind.value,
-            [args.n],
-            t_flop=args.t_flop,
-            max_processors=args.max_processors,
-            integer=True,
-        )
-        _render_optimize_point(
-            args,
-            kind,
-            curve.regime[0],
-            curve.processors[0].item(),
-            curve.area[0].item(),
-            curve.cycle_time[0].item(),
-            curve.speedup[0].item(),
-            curve.efficiency[0].item(),
-        )
-        return 0
-    if args.executor != "numpy":
-        # One-point graph evaluation on the chosen backend; element 0
-        # equals the scalar optimizer bit for bit, so the same bytes
-        # render either way.
-        from repro.graph import nodes as graph_nodes
-        from repro.graph.planner import evaluate as graph_evaluate
-
-        node = graph_nodes.allocation_curve(
-            machine,
-            stencil_by_name(args.stencil),
-            kind,
-            [args.n],
-            t_flop=args.t_flop,
-            max_processors=args.max_processors,
-            integer=True,
-        )
-        arrays = graph_evaluate([node], executor=args.executor)[0]
-        _render_optimize_point(
-            args,
-            kind,
-            arrays["regime"][0],
-            arrays["processors"][0].item(),
-            arrays["area"][0].item(),
-            arrays["cycle_time"][0].item(),
-            arrays["speedup"][0].item(),
-            arrays["efficiency"][0].item(),
-        )
-        return 0
-    workload = Workload(n=args.n, stencil=stencil_by_name(args.stencil), t_flop=args.t_flop)
-    alloc = optimize_allocation(
-        machine, workload, kind, max_processors=args.max_processors, integer=True
-    )
-    _render_optimize_point(
+    return _evaluate(
         args,
-        kind,
-        alloc.regime,
-        alloc.processors,
-        alloc.area,
-        alloc.cycle_time,
-        alloc.speedup,
-        alloc.efficiency,
-    )
-    return 0
-
-
-def _render_allocation_curve(
-    args: argparse.Namespace, kind: PartitionKind, curve, n_sides: int
-) -> None:
-    rows = [
-        (
-            int(curve.grid_sides[i]),
-            curve.regime[i],
-            round(curve.processors[i].item(), 2),
-            round(curve.area[i].item(), 1),
-            curve.cycle_time[i].item(),
-            round(curve.speedup[i].item(), 3),
-            round(curve.efficiency[i].item(), 3),
-        )
-        for i in range(len(curve))
-    ]
-    print(
-        format_table(
-            [
-                "n",
-                "regime",
-                "processors",
-                "points per processor",
-                "cycle time (s)",
-                "speedup",
-                "efficiency",
-            ],
-            rows,
-            title=(
-                f"Optimal allocation curve: {args.machine}, {args.stencil}, "
-                f"{kind.value} partitions, {n_sides} grid sides"
-            ),
-        )
-    )
-
-
-def _optimize_explain(args: argparse.Namespace, machine, kind: PartitionKind) -> int:
-    """``optimize --explain``: print the planned graph, execute nothing."""
-    from repro.graph import nodes as graph_nodes
-    from repro.graph.planner import plan as plan_graph
-
-    sides = [args.n] if args.grid is None else parse_axis(args.grid)
-    node = graph_nodes.allocation_curve(
-        machine,
-        stencil_by_name(args.stencil),
-        kind,
-        sides,
+        _render_optimize,
+        "allocation_curve",
+        machine=args.machine,
+        stencil=args.stencil,
+        kind=args.partition,
+        grid_sides=[args.n] if args.grid is None else parse_axis(args.grid),
         t_flop=args.t_flop,
         max_processors=args.max_processors,
         integer=True,
     )
-    cache = _open_cache(args.cache_dir, args.max_cache_mb)
-    print(plan_graph([node], cache=cache, executor=args.executor).explain())
-    return 0
-
-
-def _optimize_grid(args: argparse.Namespace, machine, kind: PartitionKind) -> int:
-    """Whole-curve ``optimize``: one table over the swept grid sides."""
-    sides = parse_axis(args.grid)
-    if args.server:
-        from repro.service import ServiceClient
-
-        curve = ServiceClient(args.server).allocation_curve(
-            args.machine,
-            args.stencil,
-            kind.value,
-            sides,
-            t_flop=args.t_flop,
-            max_processors=args.max_processors,
-            integer=True,
-        )
-        _render_allocation_curve(args, kind, curve, len(sides))
-        return 0
-    cache = _open_cache(args.cache_dir, args.max_cache_mb)
-    if args.executor != "numpy":
-        from repro.batch.analysis import AllocationCurve
-        from repro.graph import nodes as graph_nodes
-        from repro.graph.planner import evaluate as graph_evaluate
-
-        node = graph_nodes.allocation_curve(
-            machine,
-            stencil_by_name(args.stencil),
-            kind,
-            sides,
-            t_flop=args.t_flop,
-            max_processors=args.max_processors,
-            integer=True,
-        )
-        arrays = graph_evaluate([node], cache=cache, executor=args.executor)[0]
-        curve = AllocationCurve.from_arrays(arrays, kind)
-    else:
-        from repro.batch import optimal_allocation_curve
-
-        curve = optimal_allocation_curve(
-            machine,
-            stencil_by_name(args.stencil),
-            kind,
-            sides,
-            t_flop=args.t_flop,
-            max_processors=args.max_processors,
-            integer=True,
-            cache=cache,
-        )
-    _render_allocation_curve(args, kind, curve, len(sides))
-    if cache is not None:
-        print()
-        print(f"sweep cache: {cache.stats.describe()}")
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -387,7 +254,12 @@ def _optimize_grid(args: argparse.Namespace, machine, kind: PartitionKind) -> in
 # --------------------------------------------------------------------------
 
 
-def _render_plan_thresholds(args: argparse.Namespace, rows: list[tuple]) -> None:
+def _render_plan(args: argparse.Namespace, plan) -> None:
+    rows = [
+        (stencil, kind, round(value, 1))
+        for stencil, values in zip(plan["stencils"].tolist(), plan["max_useful"].tolist())
+        for kind, value in zip(("strip", "square"), values)
+    ]
     print(
         format_table(
             ["stencil", "partition", "max useful processors"],
@@ -395,153 +267,48 @@ def _render_plan_thresholds(args: argparse.Namespace, rows: list[tuple]) -> None
             title=f"Capacity plan: {args.machine}, {args.n} x {args.n}",
         )
     )
-
-
-def _render_plan_defaults(rows: list[tuple]) -> None:
     print()
-    print(
-        format_table(
-            ["N processors", "min grid side (squares, 5-point)"],
-            rows,
+    if args.grid is None:
+        sizes = zip(plan["default_processors"].tolist(), plan["default_sides"].tolist())
+        print(
+            format_table(
+                ["N processors", "min grid side (squares, 5-point)"],
+                [(p, round(side)) for p, side in sizes],
+            )
         )
+        return
+    sizes = zip(
+        plan["grid_processors"].tolist(),
+        plan["grid_strip"].tolist(),
+        plan["grid_square"].tolist(),
     )
-
-
-def _render_plan_grid(args: argparse.Namespace, rows: list[tuple], n_points: int) -> None:
-    print()
+    rows = [(p, round(strip), round(square)) for p, strip, square in sizes]
     print(
         format_table(
             ["N processors", "min grid side (strips)", "min grid side (squares)"],
             rows,
-            title=f"Capacity curve: {args.machine}, {n_points} machine sizes",
+            title=f"Capacity curve: {args.machine}, {len(rows)} machine sizes",
         )
     )
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     _reject_server_plus_cache(args)
-    machine = by_name(args.machine)
-    if not isinstance(machine, BusArchitecture):
+    if not isinstance(DEFAULT_MACHINES[args.machine], BusArchitecture):
         print(
             f"{args.machine} is not a bus: allocation is extremal — use all "
             "processors (or one, if the network is slower than computing "
             "locally).  Capacity planning thresholds apply to buses."
         )
         return 0
-    if args.server:
-        return _plan_via_server(args)
-    if args.explain:
-        return _plan_explain(args, machine)
-    rows = []
-    for stencil in ALL_STENCILS:
-        w = Workload(n=args.n, stencil=stencil)
-        for kind in (PartitionKind.STRIP, PartitionKind.SQUARE):
-            rows.append(
-                (
-                    stencil.name,
-                    kind.value,
-                    round(max_useful_processors(machine, w, kind), 1),
-                )
-            )
-    _render_plan_thresholds(args, rows)
-    if args.grid is not None:
-        return _plan_grid(args, machine)
-    rows = []
-    for n_procs in (8, 16, 32):
-        side = minimal_grid_side(machine, 1, 5.0, 1e-6, n_procs, PartitionKind.SQUARE)
-        rows.append((n_procs, round(side)))
-    _render_plan_defaults(rows)
-    return 0
-
-
-def _plan_via_server(args: argparse.Namespace) -> int:
-    """The whole ``plan`` output from one daemon request, same bytes."""
-    from repro.service import ServiceClient
-
-    grid = None if args.grid is None else parse_axis(args.grid)
-    plan = ServiceClient(args.server).plan(args.machine, args.n, grid)
-    kinds = (PartitionKind.STRIP, PartitionKind.SQUARE)
-    rows = [
-        (
-            str(plan["stencils"][i]),
-            kind.value,
-            round(plan["max_useful"][i, j].item(), 1),
-        )
-        for i in range(plan["stencils"].size)
-        for j, kind in enumerate(kinds)
-    ]
-    _render_plan_thresholds(args, rows)
-    if grid is None:
-        _render_plan_defaults(
-            [
-                (int(p), round(side.item()))
-                for p, side in zip(plan["default_processors"], plan["default_sides"])
-            ]
-        )
-        return 0
-    _render_plan_grid(
+    return _evaluate(
         args,
-        [
-            (
-                int(plan["grid_processors"][i]),
-                round(plan["grid_strip"][i].item()),
-                round(plan["grid_square"][i].item()),
-            )
-            for i in range(plan["grid_processors"].size)
-        ],
-        len(grid),
+        _render_plan,
+        "plan",
+        machine=args.machine,
+        n=args.n,
+        grid=None if args.grid is None else parse_axis(args.grid),
     )
-    return 0
-
-
-def _plan_explain(args: argparse.Namespace, machine) -> int:
-    """``plan --explain``: the graph a capacity plan builds, unexecuted.
-
-    One max-useful threshold node per (stencil, partition) pair plus the
-    minimal-grid-side node over the machine-size axis (``--grid`` or the
-    default sizes) — the pieces the daemon's ``plan`` family computes as
-    one bundle.
-    """
-    from repro.graph import nodes as graph_nodes
-    from repro.graph.planner import plan as plan_graph
-
-    forest = [
-        graph_nodes.max_useful_processors(machine, stencil, kind, [args.n])
-        for stencil in ALL_STENCILS
-        for kind in (PartitionKind.STRIP, PartitionKind.SQUARE)
-    ]
-    axis = [8, 16, 32] if args.grid is None else parse_axis(args.grid)
-    forest.append(graph_nodes.plan_grid(machine, axis))
-    cache = _open_cache(args.cache_dir, args.max_cache_mb)
-    print(plan_graph(forest, cache=cache, executor=args.executor).explain())
-    return 0
-
-
-def _plan_grid(args: argparse.Namespace, machine) -> int:
-    """Whole-curve capacity plan: minimal grid sides over the N axis."""
-    from repro.graph import nodes as graph_nodes
-    from repro.graph.planner import evaluate as graph_evaluate
-
-    processors = parse_axis(args.grid)
-    cache = _open_cache(args.cache_dir, args.max_cache_mb)
-    curves = graph_evaluate(
-        [graph_nodes.plan_grid(machine, processors)],
-        cache=cache,
-        executor=args.executor,
-    )[0]
-    rows = [
-        (
-            n_procs,
-            round(curves[PartitionKind.STRIP.value][i].item()),
-            round(curves[PartitionKind.SQUARE.value][i].item()),
-        )
-        for i, n_procs in enumerate(processors)
-    ]
-    _render_plan_grid(args, rows, len(processors))
-    if cache is not None:
-        print()
-        print(f"sweep cache: {cache.stats.describe()}")
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -549,10 +316,8 @@ def _plan_grid(args: argparse.Namespace, machine) -> int:
 # --------------------------------------------------------------------------
 
 
-def _render_simulation(args: argparse.Namespace, kind: PartitionKind, arrays) -> None:
-    """One replica ensemble as a kv block (plus a per-seed table when
-    small) — the shape both the offline graph path and the daemon-served
-    path feed, so their bytes can't drift."""
+def _render_simulation(args: argparse.Namespace, arrays) -> None:
+    """One replica ensemble as a kv block, plus a per-seed table when small."""
     import numpy as np
 
     cycles = np.asarray(arrays["cycle_times"], dtype=np.float64)
@@ -563,7 +328,7 @@ def _render_simulation(args: argparse.Namespace, kind: PartitionKind, arrays) ->
                 "grid": f"{args.n} x {args.n}",
                 "processors": args.processors,
                 "stencil": args.stencil,
-                "partition": kind.value,
+                "partition": args.partition,
                 "mode": args.mode,
                 "jitter": args.jitter,
                 "replicas": int(cycles.size),
@@ -590,56 +355,22 @@ def _render_simulation(args: argparse.Namespace, kind: PartitionKind, arrays) ->
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     _reject_server_plus_cache(args)
-    kind = PartitionKind(args.partition)
     if args.replicas < 1:
         raise InvalidParameterError(f"--replicas must be >= 1, got {args.replicas}")
-    seeds = list(range(args.seed, args.seed + args.replicas))
-
-    def build_node():
-        from repro.graph import nodes as graph_nodes
-
-        return graph_nodes.sim_sweep(
-            by_name(args.machine),
-            stencil_by_name(args.stencil),
-            kind,
-            args.n,
-            args.processors,
-            seeds,
-            t_flop=args.t_flop,
-            mode=args.mode,
-            jitter=args.jitter,
-        )
-
-    if args.explain:
-        from repro.graph.planner import plan as plan_graph
-
-        cache = _open_cache(args.cache_dir, args.max_cache_mb)
-        print(plan_graph([build_node()], cache=cache, executor=args.executor).explain())
-        return 0
-    if args.server:
-        from repro.service import ServiceClient
-
-        arrays = ServiceClient(args.server).sim_sweep(
-            args.machine,
-            args.n,
-            args.processors,
-            args.stencil,
-            kind.value,
-            replicas=args.replicas,
-            seed=args.seed,
-            t_flop=args.t_flop,
-            mode=args.mode,
-            jitter=args.jitter,
-        )
-    else:
-        from repro.graph.planner import evaluate as graph_evaluate
-
-        cache = _open_cache(args.cache_dir, args.max_cache_mb)
-        arrays = graph_evaluate(
-            [build_node()], cache=cache, executor=args.executor
-        )[0]
-    _render_simulation(args, kind, arrays)
-    return 0
+    return _evaluate(
+        args,
+        _render_simulation,
+        "sim_sweep",
+        machine=args.machine,
+        stencil=args.stencil,
+        kind=args.partition,
+        n=args.n,
+        n_processors=args.processors,
+        seeds=range(args.seed, args.seed + args.replicas),
+        t_flop=args.t_flop,
+        mode=args.mode,
+        jitter=args.jitter,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -710,10 +441,42 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_machines
     )
 
-    opt = sub.add_parser("optimize", help="optimal allocation for a problem")
+    stencils = sorted(s.name for s in ALL_STENCILS)
+    # The flags of the commands that answer with one family request.
+    evaluated = argparse.ArgumentParser(add_help=False)
+    evaluated.add_argument(
+        "--cache-dir", type=Path, default=None, help="sweep-cache directory"
+    )
+    evaluated.add_argument(
+        "--max-cache-mb",
+        type=float,
+        default=None,
+        help="LRU bound per cache tier (MiB); default unbounded",
+    )
+    evaluated.add_argument(
+        "--server",
+        default=None,
+        help="route through a running `repro serve` daemon (URL)",
+    )
+    evaluated.add_argument(
+        "--explain",
+        action="store_true",
+        help="print the optimized sweep graph (nodes, fusion groups, "
+        "cache hits) without executing",
+    )
+    evaluated.add_argument(
+        "--executor",
+        default="numpy",
+        help="graph executor: numpy (vectorized, default) or oracle "
+        "(scalar reference)",
+    )
+
+    opt = sub.add_parser(
+        "optimize", parents=[evaluated], help="optimal allocation for a problem"
+    )
     opt.add_argument("--machine", default="paper-bus", choices=sorted(DEFAULT_MACHINES))
     opt.add_argument("--n", type=int, default=256)
-    opt.add_argument("--stencil", default="5-point")
+    opt.add_argument("--stencil", default="5-point", choices=stencils)
     opt.add_argument("--partition", default="square", choices=["strip", "square"])
     opt.add_argument("--max-processors", type=int, default=None)
     opt.add_argument("--t-flop", type=float, default=1e-6)
@@ -722,35 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="sweep grid sides (LO:HI[:STEP] or a,b,c) — whole-curve output",
     )
-    opt.add_argument(
-        "--cache-dir", type=Path, default=None, help="sweep-cache directory"
-    )
-    opt.add_argument(
-        "--max-cache-mb",
-        type=float,
-        default=None,
-        help="LRU bound per cache tier (MiB); default unbounded",
-    )
-    opt.add_argument(
-        "--server",
-        default=None,
-        help="route through a running `repro serve` daemon (URL)",
-    )
-    opt.add_argument(
-        "--explain",
-        action="store_true",
-        help="print the optimized sweep graph (nodes, fusion groups, "
-        "cache hits) without executing",
-    )
-    opt.add_argument(
-        "--executor",
-        default="numpy",
-        help="graph executor: numpy (vectorized, default) or oracle "
-        "(scalar repro.core reference)",
-    )
     opt.set_defaults(func=_cmd_optimize)
 
-    plan = sub.add_parser("plan", help="capacity planning thresholds")
+    plan = sub.add_parser(
+        "plan", parents=[evaluated], help="capacity planning thresholds"
+    )
     plan.add_argument("--machine", default="paper-bus", choices=sorted(DEFAULT_MACHINES))
     plan.add_argument("--n", type=int, default=256)
     plan.add_argument(
@@ -758,43 +497,19 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="sweep machine sizes N (LO:HI[:STEP] or a,b,c) — whole-curve output",
     )
-    plan.add_argument(
-        "--cache-dir", type=Path, default=None, help="sweep-cache directory"
-    )
-    plan.add_argument(
-        "--max-cache-mb",
-        type=float,
-        default=None,
-        help="LRU bound per cache tier (MiB); default unbounded",
-    )
-    plan.add_argument(
-        "--server",
-        default=None,
-        help="route through a running `repro serve` daemon (URL)",
-    )
-    plan.add_argument(
-        "--explain",
-        action="store_true",
-        help="print the optimized sweep graph (nodes, fusion groups, "
-        "cache hits) without executing",
-    )
-    plan.add_argument(
-        "--executor",
-        default="numpy",
-        help="graph executor: numpy (vectorized, default) or oracle "
-        "(scalar repro.core reference)",
-    )
     plan.set_defaults(func=_cmd_plan)
 
     simc = sub.add_parser(
-        "simulate", help="batched replica simulation (Monte Carlo bands)"
+        "simulate",
+        parents=[evaluated],
+        help="batched replica simulation (Monte Carlo bands)",
     )
     simc.add_argument("--machine", default="paper-bus", choices=sorted(DEFAULT_MACHINES))
     simc.add_argument("--n", type=int, default=64)
     simc.add_argument(
         "--processors", type=int, default=16, help="processor count P"
     )
-    simc.add_argument("--stencil", default="5-point")
+    simc.add_argument("--stencil", default="5-point", choices=stencils)
     simc.add_argument("--partition", default="square", choices=["strip", "square"])
     simc.add_argument(
         "--mode",
@@ -814,32 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the deterministic event-level trace",
     )
     simc.add_argument("--t-flop", type=float, default=1e-6)
-    simc.add_argument(
-        "--cache-dir", type=Path, default=None, help="sweep-cache directory"
-    )
-    simc.add_argument(
-        "--max-cache-mb",
-        type=float,
-        default=None,
-        help="LRU bound per cache tier (MiB); default unbounded",
-    )
-    simc.add_argument(
-        "--server",
-        default=None,
-        help="route through a running `repro serve` daemon (URL)",
-    )
-    simc.add_argument(
-        "--explain",
-        action="store_true",
-        help="print the optimized sweep graph (nodes, fusion groups, "
-        "cache hits) without executing",
-    )
-    simc.add_argument(
-        "--executor",
-        default="numpy",
-        help="graph executor: numpy (vectorized, default) or oracle "
-        "(scalar event-level reference)",
-    )
     simc.set_defaults(func=_cmd_simulate)
 
     exp = sub.add_parser("experiments", help="run paper experiments")

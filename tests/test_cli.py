@@ -189,6 +189,17 @@ class TestOptimizeGrid:
         out = capsys.readouterr().out
         assert "[warm]" in out and "sweep cache" in out
 
+    @pytest.mark.parametrize("command", ["optimize", "plan"])
+    def test_point_mode_serves_repeat_from_store(self, capsys, tmp_path, command):
+        argv = [command, "--machine", "paper-bus", "--n", "256",
+                "--cache-dir", str(tmp_path / "cache")]
+        main(argv)
+        cold = capsys.readouterr().out
+        main(argv)
+        warm = capsys.readouterr().out
+        assert "sweep cache:" in cold and "[cold]" in cold
+        assert "[warm]" in warm
+
     def test_bad_grid_spec_raises(self):
         from repro.errors import InvalidParameterError
 
@@ -237,12 +248,12 @@ class TestExplainAndExecutor:
         assert "Optimal allocation curve" not in out
 
     def test_plan_explain_shows_the_whole_forest(self, capsys):
+        # A capacity plan is one node of the plan family.
         code = main(["plan", "--machine", "paper-bus", "--n", "256", "--explain"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "sweep graph:" in out
-        assert "max_useful[paper-bus" in out
-        assert "plan_grid[paper-bus" in out
+        assert "sweep graph: 1 request(s) -> 1 node(s)" in out
+        assert "plan[paper-bus n=256 p_axis=3]" in out
         assert "max useful processors" not in out  # anchor table not printed
 
     def test_explain_reports_cache_hits(self, capsys, tmp_path):
@@ -347,24 +358,15 @@ class TestSimulate:
         via_oracle = capsys.readouterr().out
         assert via_oracle == via_numpy
 
-    def test_server_output_is_byte_identical(self, capsys):
-        from repro.service import AsyncSweepServer
-
-        main(self.ARGV)
-        offline = capsys.readouterr().out
-        with AsyncSweepServer(port=0) as srv:
-            assert main(self.ARGV + ["--server", srv.url]) == 0
-            served = capsys.readouterr().out
-        assert served == offline
-
     def test_cache_dir_serves_repeat_from_store(self, capsys, tmp_path):
         argv = self.ARGV + ["--cache-dir", str(tmp_path / "cache")]
         main(argv)
-        cold = capsys.readouterr().out
+        cold_block, cold_stats = capsys.readouterr().out.split("\nsweep cache: ")
         main(argv)
-        warm = capsys.readouterr().out
-        # Same bytes either way; the second run hit the store.
-        assert warm == cold
+        warm_block, warm_stats = capsys.readouterr().out.split("\nsweep cache: ")
+        assert warm_block == cold_block
+        assert "[cold]" in cold_stats
+        assert "[warm]" in warm_stats
 
     def test_explain_plans_without_executing(self, capsys):
         assert main(self.ARGV + ["--explain"]) == 0
@@ -458,6 +460,9 @@ class TestServerRouting:
             ["plan", "--machine", "paper-bus", "--n", "256"],
             ["plan", "--machine", "paper-bus", "--grid", "2:64:7"],
             ["plan", "--machine", "ipsc", "--n", "256"],  # non-bus: local answer
+            ["optimize", "--machine", "paper-bus", "--grid", "64:512:64",
+             "--partition", "strip", "--max-processors", "16"],
+            TestSimulate.ARGV,
         ],
     )
     def test_byte_identical_to_offline(self, capsys, server, argv):
@@ -490,23 +495,20 @@ class TestServerRouting:
         routed = self._run(capsys, argv + ["--server", server.url])
         assert routed == offline
 
-    def test_server_with_cache_dir_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--machine", "paper-bus", "--grid", "64:128:64"],
+            # Rejected before plan's local answer for a non-bus machine.
+            ["plan", "--machine", "ipsc"],
+        ],
+    )
+    def test_server_with_cache_dir_rejected(self, capsys, tmp_path, argv):
         from repro.errors import InvalidParameterError
 
         with pytest.raises(InvalidParameterError, match="mutually exclusive"):
-            main(
-                [
-                    "optimize",
-                    "--machine",
-                    "paper-bus",
-                    "--grid",
-                    "64:128:64",
-                    "--server",
-                    "http://127.0.0.1:1",
-                    "--cache-dir",
-                    str(tmp_path),
-                ]
-            )
+            main(argv + ["--server", "http://127.0.0.1:1", "--cache-dir", str(tmp_path)])
+        assert capsys.readouterr().out == ""
 
     def test_server_with_max_cache_mb_rejected(self):
         from repro.errors import InvalidParameterError
