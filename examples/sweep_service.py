@@ -4,9 +4,7 @@
 Starts an in-process `repro serve` daemon and walks the client surface:
 
 1. *Connection-pool knobs* — `pool_size` keep-alive sockets shared by
-   threads, `retries`/`backoff_s` for transient transport errors, and
-   the `retry_non_idempotent` opt-in that `RemoteSweepCache` uses for
-   its content-addressed PUTs.
+   threads, and `retries`/`backoff_s` for transient transport errors.
 2. *The wire tax* — warm-hit latency through the daemon against the
    direct in-process call, the numbers `benchmarks/bench_service.py`
    gates at ≤ 2x direct.  Arrays cross the wire as zero-copy binary
@@ -24,7 +22,7 @@ import numpy as np
 
 from repro.batch import SweepCache, optimal_allocation_curve
 from repro.machines.catalog import PAPER_BUS
-from repro.service import AsyncSweepServer, RemoteSweepCache, ServiceClient
+from repro.service import AsyncSweepServer, ServiceClient
 from repro.service.schema import allocation_payload
 from repro.stencils.library import FIVE_POINT
 from repro.stencils.perimeter import PartitionKind
@@ -36,23 +34,17 @@ def pool_knobs(server: AsyncSweepServer) -> None:
     # One client, shared by threads: pool_size keep-alive connections,
     # each with TCP_NODELAY; stale sockets are replayed invisibly, and
     # transient errors retry with exponential backoff (retries attempts
-    # of backoff_s, 2*backoff_s, ...).  PUTs are exempt from retry
-    # unless the caller opts in.
+    # of backoff_s, 2*backoff_s, ...).  Every request is a pure
+    # compute or a GET, so replaying one is always safe.
     client = ServiceClient(
         server.url,
         pool_size=2,  # keep-alive sockets kept open (default 4)
         retries=3,  # transient-error retry budget (default 2)
         backoff_s=0.02,  # first backoff; doubles per retry (default 0.05)
-        retry_non_idempotent=False,  # default: never replay PUTs
     )
     for _ in range(3):
         client.allocation_curve("paper-bus", "5-point", "strip", SIDES)
     print("3 requests over one pooled keep-alive connection: ok")
-
-    # RemoteSweepCache rides the same pool and opts into PUT retry —
-    # its PUTs are content-addressed, so replaying one is harmless.
-    remote = RemoteSweepCache(server.url, pool_size=2)
-    print(f"RemoteSweepCache retries PUTs: {remote.client.retry_non_idempotent}")
 
 
 def wire_tax(server: AsyncSweepServer) -> None:

@@ -61,7 +61,6 @@ from repro.batch.curves import (
 from repro.batch.engine import SweepSpec, SweepResult, run_sweep
 from repro.batch.analysis import (
     AllocationCurve,
-    cached_run_sweep,
     find_crossover_grid_size_batch,
     grid_for_efficiency_curve,
     isoefficiency_exponent_grid,
@@ -76,9 +75,6 @@ from repro.batch.analysis import (
 from repro.batch.cache import (
     CacheStats,
     SweepCache,
-    clear_default_cache,
-    configure_default_cache,
-    default_cache,
     fingerprint,
 )
 from repro.batch.sim import (
@@ -112,10 +108,6 @@ __all__ = [
     "closed_form_optimal_speedup_async_bus_curve",
     "closed_form_optimal_speedup_sync_bus_curve",
     "uses_all_processors_curve",
-    "cached_run_sweep",
-    "clear_default_cache",
-    "configure_default_cache",
-    "default_cache",
     "find_crossover_grid_size_batch",
     "fingerprint",
     "grid_for_efficiency_curve",

@@ -25,8 +25,7 @@ every consumer.  The ``_compute_*`` kernels below remain the NumPy
 executor's implementation — same operations, same order, same bits.
 
 All entry points accept an optional ``cache`` (see
-:mod:`repro.batch.cache`); when omitted, the process-wide default cache
-is used if one has been configured.
+:mod:`repro.batch.cache`); when omitted, they compute directly.
 """
 
 from __future__ import annotations
@@ -37,9 +36,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.batch.cache import SweepCache, resolve_cache
+from repro.batch.cache import SweepCache
 from repro.batch.curves import _libm_pow, bus_optimal_area_curve
-from repro.batch.engine import SweepResult, SweepSpec
 from repro.core.crossover import CrossoverResult
 from repro.core.isoefficiency import IsoefficiencyFit
 from repro.core.minimal_size import _volume_coefficient
@@ -64,7 +62,6 @@ __all__ = [
     "isoefficiency_exponent_grid",
     "scaled_speedup_hypercube_curve",
     "scaled_speedup_banyan_curve",
-    "cached_run_sweep",
 ]
 
 
@@ -204,7 +201,7 @@ def optimal_allocation_curve(
     node = graph_nodes.allocation_curve(
         machine, stencil, kind, grid_sides, t_flop, max_processors, integer
     )
-    arrays = graph_evaluate([node], cache=resolve_cache(cache))[0]
+    arrays = graph_evaluate([node], cache=cache)[0]
     return AllocationCurve.from_arrays(arrays, kind)
 
 
@@ -317,7 +314,7 @@ def max_useful_processors_curve(
     from repro.graph.planner import evaluate as graph_evaluate
 
     node = graph_nodes.max_useful_processors(machine, stencil, kind, grid_sides, t_flop)
-    return graph_evaluate([node], cache=resolve_cache(cache))[0]["max_useful"]
+    return graph_evaluate([node], cache=cache)[0]["max_useful"]
 
 
 def _compute_minimal_problem_size(
@@ -355,7 +352,7 @@ def minimal_problem_size_curve(
     node = graph_nodes.minimal_problem_size(
         machine, stencil, kind, n_processors, t_flop
     )
-    return graph_evaluate([node], cache=resolve_cache(cache))[0]["n2_min"]
+    return graph_evaluate([node], cache=cache)[0]["n2_min"]
 
 
 # --------------------------------------------------------------------------
@@ -380,7 +377,7 @@ def speedup_ratio_curve(
     node = graph_nodes.speedup_ratio(
         machine_a, machine_b, stencil, kind, grid_sides, t_flop, max_processors
     )
-    return graph_evaluate([node], cache=resolve_cache(cache))[0]
+    return graph_evaluate([node], cache=cache)[0]
 
 
 def strip_square_ratio_curve(
@@ -398,7 +395,7 @@ def strip_square_ratio_curve(
     node = graph_nodes.strip_square_ratio(
         machine, stencil, grid_sides, t_flop, max_processors
     )
-    return graph_evaluate([node], cache=resolve_cache(cache))[0]
+    return graph_evaluate([node], cache=cache)[0]
 
 
 def find_crossover_grid_size_batch(
@@ -481,7 +478,7 @@ def grid_for_efficiency_curve(
     node = graph_nodes.grid_for_efficiency(
         machine, stencil, kind, processor_counts, target_efficiency, t_flop, n_max
     )
-    return graph_evaluate([node], cache=resolve_cache(cache))[0]["sides"]
+    return graph_evaluate([node], cache=cache)[0]["sides"]
 
 
 def _compute_grid_for_efficiency(
@@ -572,7 +569,7 @@ def isoefficiency_exponent_grid(
     node = graph_nodes.isoefficiency_fit(
         machine, stencil, kind, processor_counts, target_efficiency, t_flop
     )
-    return graph_evaluate([node], cache=resolve_cache(cache))[0]
+    return graph_evaluate([node], cache=cache)[0]
 
 
 # --------------------------------------------------------------------------
@@ -631,26 +628,3 @@ def scaled_speedup_banyan_curve(
     )
     serial = stencil.flops_per_point * n * n * t_flop
     return serial / cycle
-
-
-# --------------------------------------------------------------------------
-# Cached sweep front-end
-# --------------------------------------------------------------------------
-
-
-def cached_run_sweep(
-    spec: SweepSpec, cache: SweepCache | None = None
-) -> SweepResult:
-    """:func:`repro.batch.run_sweep` through the content-addressed cache.
-
-    The whole spec — axes, machines, stencil, partition kind, flop time
-    — feeds the fingerprint, so any change recomputes and any repeat is
-    served from memory or disk.
-    """
-    from repro.graph import nodes as graph_nodes
-    from repro.graph.planner import evaluate as graph_evaluate
-
-    arrays = graph_evaluate([graph_nodes.sweep(spec)], cache=resolve_cache(cache))[0]
-    return SweepResult(
-        spec=spec, cycle_times={k: np.asarray(v) for k, v in arrays.items()}
-    )

@@ -27,11 +27,14 @@ their sweeps are computed once (see :func:`_canonical_bus`).
 Both tiers can be size-bounded (``max_bytes``): entries are tracked in
 least-recently-used order and evicted once the tier exceeds the bound,
 with eviction counts surfaced in :class:`CacheStats`.  Hit/miss
-statistics are tracked per cache and surfaced in the experiment
-runner's report and the CLI's ``--cache-dir`` output, so a warm cache
+statistics are tracked per cache and surfaced in the CLI's
+``--cache-dir`` output and the daemon's ``/v1/stats``, so a warm cache
 is visible, not silent.  A disk tier that cannot be read or written
 (full, read-only) degrades to the memory tier: the failure is counted
 in ``disk_errors`` and the request is still served.
+
+There is no process-wide cache: a store is used only where a caller
+passes one as ``cache=`` (the CLI's ``--cache-dir``, ``repro serve``).
 """
 
 from __future__ import annotations
@@ -60,11 +63,6 @@ __all__ = [
     "SweepCache",
     "fingerprint",
     "max_cache_bytes",
-    "configure_default_cache",
-    "clear_default_cache",
-    "set_default_cache",
-    "default_cache",
-    "resolve_cache",
 ]
 
 
@@ -278,30 +276,6 @@ class CacheStats:
             "executor_runs": dict(self.executor_runs),
         }
 
-    def merge(self, other: "CacheStats | Mapping[str, object]") -> "CacheStats":
-        """Add another cache's counters (a worker's snapshot) into this one.
-
-        Multi-process paths — runner pools, the sweep
-        service — each count in their own process; aggregating their
-        snapshots is how a report shows the true totals instead of
-        silently dropping worker activity.
-        """
-        counts = other.snapshot() if isinstance(other, CacheStats) else other
-        self.memory_hits += int(counts.get("memory_hits", 0))
-        self.disk_hits += int(counts.get("disk_hits", 0))
-        self.misses += int(counts.get("misses", 0))
-        self.memory_evictions += int(counts.get("memory_evictions", 0))
-        self.disk_evictions += int(counts.get("disk_evictions", 0))
-        self.disk_errors += int(counts.get("disk_errors", 0))
-        self.nodes_planned += int(counts.get("nodes_planned", 0))
-        self.siblings_fused += int(counts.get("siblings_fused", 0))
-        self.subgraphs_deduped += int(counts.get("subgraphs_deduped", 0))
-        runs = counts.get("executor_runs", {})
-        if isinstance(runs, Mapping):
-            for name, n in runs.items():
-                self.count_executor_run(str(name), int(n))
-        return self
-
     def describe(self) -> str:
         """One-line summary, labelling a fully warm cache as such."""
         state = "warm" if self.hits and not self.misses else "cold"
@@ -343,10 +317,9 @@ class SweepCache:
     still works — the bound is a steady-state ceiling, not a hard
     admission limit.
 
-    The slow tier is never touched under the lock: a lookup probes
-    memory under it, releases it to read the disk (or, in
-    :class:`~repro.service.RemoteSweepCache`, the daemon), and re-takes
-    it only to insert the entry and count the hit.  A disk read or write
+    The disk tier is never touched under the lock: a lookup probes
+    memory under it, releases it to read the file, and re-takes it only
+    to insert the entry and count the hit.  A disk read or write
     that fails with an ``OSError`` is counted in ``disk_errors`` and the
     request is served from memory (or recomputed) instead of failing.
     """
@@ -373,9 +346,9 @@ class SweepCache:
         self._memory_bytes = 0  # guarded-by: _lock
         # Tier mutations are serialized so threaded consumers (the sweep
         # service handles each HTTP request on its own thread) see
-        # consistent LRU order and stats.  Neither computes nor disk and
-        # remote IO run under the lock — it covers only the memory probe,
-        # inserts, evictions and counters.
+        # consistent LRU order and stats.  Neither computes nor disk IO
+        # run under the lock — it covers only the memory probe, inserts,
+        # evictions and counters.
         self._lock = threading.RLock()
         self.stats = CacheStats()  # guarded-by: _lock
 
@@ -495,7 +468,7 @@ class SweepCache:
     # -------------------------------------------------- disk-tier primitives
 
     def _disk_fetch(self, key: str) -> dict[str, np.ndarray] | None:
-        """Read one entry from the slow tier, or ``None``.
+        """Read one entry from the disk tier, or ``None``.
 
         Called without the lock held.  A truncated or garbage file — a
         crashed writer on a filesystem without atomic rename, manual
@@ -503,8 +476,7 @@ class SweepCache:
         trailing-byte checks and is a *miss*, not a crash: the bad file
         is discarded so the recompute can rewrite it.  A file that
         cannot be read at all (permissions, IO error) is a counted miss
-        and is left in place.  Remote tiers (the sweep service's client
-        cache) override this pair of hooks.
+        and is left in place.
         """
         path = self._disk_path(key)
         if path is None:
@@ -529,7 +501,7 @@ class SweepCache:
         return arrays
 
     def _disk_put(self, key: str, value: Mapping[str, np.ndarray]) -> None:
-        """Write one entry to the slow tier; called without the lock held.
+        """Write one entry to the disk tier; called without the lock held.
 
         A write that fails with an ``OSError`` (disk full, permissions)
         leaves no file behind and is counted, not raised: the entry is
@@ -592,8 +564,7 @@ class SweepCache:
                 self._memory.move_to_end(key)
                 self.stats.memory_hits += 1
                 return hit, "memory"
-        # The slow tier (a file read, or the remote daemon's GET) runs
-        # outside the lock so memory hits on other threads never queue
+        # The disk read runs outside the lock so memory hits on other threads never queue
         # behind it.  Two threads missing one key may both read it; the
         # later insert replaces the earlier with equal arrays.
         arrays = self._disk_fetch(key)
@@ -622,9 +593,9 @@ class SweepCache:
         )
         with self._lock:
             self._insert(key, value)
-        # The slow tier (atomic frame write + eviction scan, or the
-        # remote daemon round trip) runs outside the lock so concurrent
-        # memory-tier hits in a threaded server never stall behind IO.
+        # The disk write (atomic frame write + eviction scan) runs
+        # outside the lock so concurrent memory-tier hits in a threaded
+        # server never stall behind IO.
         self._disk_put(key, value)
         return value
 
@@ -678,50 +649,3 @@ class SweepCache:
         """
         with self._lock:
             return self.stats.snapshot()
-
-
-# --------------------------------------------------------------------------
-# Process-wide default cache (opt-in)
-# --------------------------------------------------------------------------
-
-_DEFAULT_CACHE: SweepCache | None = None
-
-
-def configure_default_cache(
-    cache_dir: Path | str | None = None, max_bytes: int | None = None
-) -> SweepCache:
-    """Install (and return) the process-wide default cache.
-
-    Analysis functions called without an explicit ``cache=`` use this
-    one; until configured, they compute directly.  The experiment
-    runner's ``--cache-dir`` and the CLI's ``--cache-dir`` both route
-    here, including in the runner's worker processes.
-    """
-    global _DEFAULT_CACHE
-    _DEFAULT_CACHE = SweepCache(cache_dir, max_bytes=max_bytes)
-    return _DEFAULT_CACHE
-
-
-def set_default_cache(cache: SweepCache | None) -> None:
-    """Install an existing cache instance (or ``None``) as the default.
-
-    The restore half of a configure/restore pair: callers that swap the
-    default temporarily (the experiment runner's ``--cache-dir``) put
-    the caller's cache back with this instead of clearing it.
-    """
-    global _DEFAULT_CACHE
-    _DEFAULT_CACHE = cache
-
-
-def clear_default_cache() -> None:
-    """Remove the default cache (analysis calls compute directly again)."""
-    set_default_cache(None)
-
-
-def default_cache() -> SweepCache | None:
-    return _DEFAULT_CACHE
-
-
-def resolve_cache(cache: SweepCache | None) -> SweepCache | None:
-    """An explicit cache wins; otherwise the configured default (if any)."""
-    return cache if cache is not None else _DEFAULT_CACHE

@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.batch.cache import SweepCache, resolve_cache
+from repro.batch.cache import SweepCache
 from repro.core.parameters import Workload
 from repro.errors import InvalidParameterError, SimulationError
 from repro.machines.banyan import BanyanNetwork
@@ -508,11 +508,10 @@ def simulate_replicas(spec: ReplicaBatchSpec) -> ReplicaBatchResult:
 def simulate_replicas_cached(
     spec: ReplicaBatchSpec, cache: SweepCache | None = None
 ) -> ReplicaBatchResult:
-    """Serve a replica batch through the sweep cache (explicit or default)."""
-    store = resolve_cache(cache)
-    if store is None:
+    """Serve a replica batch through ``cache``; without one, compute it."""
+    if cache is None:
         return simulate_replicas(spec)
-    arrays = store.get_or_compute(
+    arrays = cache.get_or_compute(
         replica_request(spec), lambda: simulate_replicas(spec).to_arrays()
     )
     return ReplicaBatchResult(

@@ -63,7 +63,7 @@ from repro.machines.catalog import DEFAULT_MACHINES
 from repro.report.tables import format_kv_block, format_table
 from repro.stencils.library import ALL_STENCILS
 
-__all__ = ["main", "build_parser", "parse_axis"]
+__all__ = ["main", "build_parser", "experiments_arguments", "parse_axis"]
 
 
 def parse_axis(spec: str) -> list[int]:
@@ -92,16 +92,8 @@ def parse_axis(spec: str) -> list[int]:
         raise InvalidParameterError(f"bad --grid axis {spec!r}: {exc}") from None
 
 
-def _reject_server_plus_cache(
-    args: argparse.Namespace, locally_meaningful: tuple[str, ...] = ()
-) -> None:
-    """Fail fast on flags that do nothing once a daemon owns the work.
-
-    ``experiments --server`` passes ``locally_meaningful`` for the flags
-    that still act in this process — ``--max-cache-mb`` bounds each
-    worker's memory tier — while for ``optimize``, ``plan`` and
-    ``simulate`` the daemon owns store and bound.
-    """
+def _reject_server_plus_cache(args: argparse.Namespace) -> None:
+    """Fail fast on flags that do nothing once a daemon owns the work."""
     if not getattr(args, "server", None):
         if getattr(args, "executor", "numpy") != "numpy":
             # Resolve eagerly so a typo fails before any work, naming
@@ -116,10 +108,7 @@ def _reject_server_plus_cache(
             "daemon owns the shared store (start it with `repro serve "
             "--cache-dir ...`)"
         )
-    if (
-        getattr(args, "max_cache_mb", None) is not None
-        and "max_cache_mb" not in locally_meaningful
-    ):
+    if getattr(args, "max_cache_mb", None) is not None:
         raise InvalidParameterError(
             "--max-cache-mb has no effect with --server here: bound the "
             "daemon's store instead (`repro serve --max-cache-mb ...`)"
@@ -354,9 +343,17 @@ def _render_simulation(args: argparse.Namespace, arrays) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.graph.families import MAX_REPLICAS
+
     _reject_server_plus_cache(args)
     if args.replicas < 1:
         raise InvalidParameterError(f"--replicas must be >= 1, got {args.replicas}")
+    if args.replicas > MAX_REPLICAS:
+        # Before any seed list is built: with --server it would be
+        # posted whole only for the daemon to refuse it.
+        raise InvalidParameterError(
+            f"--replicas: at most {MAX_REPLICAS} replicas per request, got {args.replicas}"
+        )
     return _evaluate(
         args,
         _render_simulation,
@@ -378,24 +375,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import run_and_report
-
-    if args.list:
-        from repro.experiments import all_experiments
-
-        for exp_id in sorted(all_experiments()):
-            print(exp_id)
-        return 0
-    _reject_server_plus_cache(args, locally_meaningful=("max_cache_mb",))
-    return run_and_report(
-        args.output,
-        args.ids or None,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        server=args.server,
-        max_cache_mb=args.max_cache_mb,
+def experiments_arguments() -> argparse.ArgumentParser:
+    """The ``experiments`` flags, also parsed by ``repro.experiments.runner``."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("ids", nargs="*", help="experiment ids (default: all)")
+    parser.add_argument("--list", action="store_true", help="list experiment ids")
+    parser.add_argument("--output", type=Path, default=None, help="CSV directory")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="experiments to run concurrently"
     )
+    return parser
+
+
+def _cmd_experiments(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import run_from_args
+
+    return run_from_args(args)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -531,31 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     simc.add_argument("--t-flop", type=float, default=1e-6)
     simc.set_defaults(func=_cmd_simulate)
 
-    exp = sub.add_parser("experiments", help="run paper experiments")
-    exp.add_argument("ids", nargs="*", help="experiment ids (default: all)")
-    exp.add_argument("--list", action="store_true")
-    exp.add_argument("--output", type=Path, default=None, help="CSV directory")
-    exp.add_argument(
-        "--jobs", type=int, default=1, help="experiments to run concurrently"
-    )
-    exp.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="enable the disk-backed sweep cache under this directory",
-    )
-    exp.add_argument(
-        "--max-cache-mb",
-        type=float,
-        default=None,
-        help="LRU bound per cache tier (MiB); default unbounded",
-    )
-    exp.add_argument(
-        "--server",
-        default=None,
-        help="route sweeps through a running `repro serve` daemon (URL)",
-    )
-    exp.set_defaults(func=_cmd_experiments)
+    sub.add_parser(
+        "experiments", parents=[experiments_arguments()], help="run paper experiments"
+    ).set_defaults(func=_cmd_experiments)
 
     serve = sub.add_parser(
         "serve", help="long-running sweep server (HTTP)"

@@ -24,8 +24,8 @@ import math
 from repro.batch import (
     SweepSpec,
     bus_optimal_area_curve,
-    cached_run_sweep,
     optimal_allocation_curve,
+    run_sweep,
 )
 from repro.core.leverage import leverage_factor
 from repro.core.parameters import Workload
@@ -63,7 +63,7 @@ def run_intext_example() -> ExperimentResult:
     sizes = (256, 1024)
     # One sweep per partition shape covers both accountings and sizes.
     speedup_at_16 = {
-        kind: cached_run_sweep(
+        kind: run_sweep(
             SweepSpec(
                 grid_sides=sizes,
                 processors=(16.0,),

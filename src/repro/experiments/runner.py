@@ -39,7 +39,7 @@ from repro.experiments.registry import all_experiments, get_experiment
 from repro.report.csvio import default_results_dir
 from repro.report.tables import format_table
 
-__all__ = ["ExperimentRun", "run_experiments", "run_all", "run_and_report", "main"]
+__all__ = ["ExperimentRun", "run_experiments", "run_all", "run_from_args", "main"]
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,6 @@ class ExperimentRun:
     report: str
     seconds: float
     csv_paths: tuple[Path, ...]
-    #: Sweep-cache hit/miss counters for this run (``None`` = no cache).
-    cache_stats: dict[str, int] | None = None
 
 
 def _select_ids(ids: list[str] | None) -> list[str]:
@@ -72,70 +70,24 @@ def _select_ids(ids: list[str] | None) -> list[str]:
     return selected
 
 
-def _run_one(
-    exp_id: str,
-    output_dir: str,
-    cache_dir: str | None = None,
-    server: str | None = None,
-    max_cache_bytes: int | None = None,
-) -> ExperimentRun:
+def _run_one(exp_id: str, output_dir: str) -> ExperimentRun:
     """Worker body: run one experiment and write its artifacts.
 
     Module-level so a process pool can pickle it; re-importing this
-    module in a worker repopulates the registry.  With ``cache_dir``
-    the run gets a disk-backed default sweep cache; with ``server`` the
-    slow tier is a running ``repro serve`` daemon instead, so every
-    worker shares one deduplicated store.  Either way the run's
-    hit/miss counters are tracked *in this process* and come back in
-    the result — a hit served by the daemon or the shared directory
-    still counts here, so report totals match single-process runs.
+    module in a worker repopulates the registry.
     """
-    from repro.batch.cache import (
-        SweepCache,
-        configure_default_cache,
-        default_cache,
-        set_default_cache,
-    )
-
-    stats = None
-    cache: SweepCache | None = None
-    if server is not None:
-        from repro.service import RemoteSweepCache
-
-        previous = default_cache()
-        cache = RemoteSweepCache(server, max_bytes=max_cache_bytes)
-        set_default_cache(cache)
-    elif cache_dir is not None:
-        previous = default_cache()
-        cache = configure_default_cache(Path(cache_dir), max_bytes=max_cache_bytes)
     start = time.perf_counter()
-    try:
-        result = get_experiment(exp_id)()
-        paths = tuple(result.write_csvs(Path(output_dir)))
-        if cache is not None:
-            stats = cache.stats.snapshot()
-    finally:
-        # Restore whatever default the caller had (jobs=1 runs in the
-        # caller's process, so clobbering it would silently disable
-        # their own caching after the run).
-        if cache is not None:
-            set_default_cache(previous)
+    result = get_experiment(exp_id)()
+    paths = tuple(result.write_csvs(Path(output_dir)))
     return ExperimentRun(
         experiment_id=exp_id,
         report=result.render(),
         seconds=time.perf_counter() - start,
         csv_paths=paths,
-        cache_stats=stats,
     )
 
 
-def _run_one_pooled(
-    exp_id: str,
-    output_dir: str,
-    cache_dir: str | None,
-    server: str | None,
-    max_cache_bytes: int | None,
-) -> ExperimentRun:
+def _run_one_pooled(exp_id: str, output_dir: str) -> ExperimentRun:
     """Pool wrapper: convert a worker crash into a picklable error.
 
     A raw exception crossing the process boundary keeps only what
@@ -146,7 +98,7 @@ def _run_one_pooled(
     traceback text makes the parent's failure report actionable.
     """
     try:
-        return _run_one(exp_id, output_dir, cache_dir, server, max_cache_bytes)
+        return _run_one(exp_id, output_dir)
     except Exception:
         raise ExperimentError(
             f"experiment {exp_id} failed in a worker process\n"
@@ -158,9 +110,6 @@ def run_experiments(
     output_dir: Path | None = None,
     ids: list[str] | None = None,
     jobs: int = 1,
-    cache_dir: Path | None = None,
-    server: str | None = None,
-    max_cache_mb: float | None = None,
 ) -> list[ExperimentRun]:
     """Run the selected (default: all) experiments; returns their outcomes.
 
@@ -169,34 +118,21 @@ def run_experiments(
     are returned in request order regardless of completion order.  The
     output directory (and parents) is created up front so a bad
     ``--output`` cannot fail mid-run after some experiments completed.
-    ``cache_dir`` enables the disk-backed sweep cache for every run
-    (workers share it through the filesystem); ``server`` routes every
-    run's sweeps through a running ``repro serve`` daemon instead, and
-    ``max_cache_mb`` bounds the per-process memory tier either way.  A
-    worker failure surfaces as :class:`ExperimentError` naming the
+    A worker failure surfaces as :class:`ExperimentError` naming the
     experiment and carrying the worker's full traceback text.
     """
     if jobs < 1:
         raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
-    from repro.batch.cache import max_cache_bytes as _to_bytes
-
     output_dir = output_dir or default_results_dir()
     output_dir.mkdir(parents=True, exist_ok=True)
-    cache = None if cache_dir is None else str(cache_dir)
-    max_cache_bytes = _to_bytes(max_cache_mb)
     selected = _select_ids(ids)
     if not selected:
         return []
     if jobs == 1 or len(selected) == 1:
-        return [
-            _run_one(exp_id, str(output_dir), cache, server, max_cache_bytes)
-            for exp_id in selected
-        ]
+        return [_run_one(exp_id, str(output_dir)) for exp_id in selected]
     with ProcessPoolExecutor(max_workers=min(jobs, len(selected))) as pool:
         futures = [
-            pool.submit(
-                _run_one_pooled, exp_id, str(output_dir), cache, server, max_cache_bytes
-            )
+            pool.submit(_run_one_pooled, exp_id, str(output_dir))
             for exp_id in selected
         ]
         return [f.result() for f in futures]
@@ -225,141 +161,35 @@ def _timing_table(runs: list[ExperimentRun], elapsed: float) -> str:
     )
 
 
-def _cache_table(runs: list[ExperimentRun]) -> str | None:
-    """Per-run sweep-cache hits/misses, plus the warm/cold verdict.
+def run_from_args(args: argparse.Namespace) -> int:
+    """List experiments, or run them and print reports plus wall times.
 
-    A run whose requests were all served from the store is labelled
-    ``warm``; any recomputation marks it ``cold``.  The planner columns
-    show how much work the sweep graph avoided: nodes planned, sibling
-    requests fused onto shared evaluations, and repeated subgraphs
-    deduplicated.
+    The one flow behind both ``repro experiments`` and ``python -m
+    repro.experiments.runner``; both parse the flags declared by
+    :func:`repro.cli.experiments_arguments`.
     """
-    from repro.batch.cache import CacheStats
-
-    reported = [r for r in runs if r.cache_stats is not None]
-    if not reported:
-        return None
-    rows = []
-    total = CacheStats()
-    for r in reported:
-        run_stats = CacheStats().merge(r.cache_stats)
-        total.merge(run_stats)
-        hits, misses = run_stats.hits, run_stats.misses
-        state = "-" if hits + misses == 0 else ("warm" if misses == 0 else "cold")
-        rows.append(
-            (
-                r.experiment_id,
-                hits,
-                misses,
-                run_stats.nodes_planned,
-                run_stats.siblings_fused,
-                run_stats.subgraphs_deduped,
-                state,
-            )
-        )
-    state = (
-        "warm" if total.hits and not total.misses else "cold"
-    ) if total.requests else "-"
-    rows.append(
-        (
-            "total",
-            total.hits,
-            total.misses,
-            total.nodes_planned,
-            total.siblings_fused,
-            total.subgraphs_deduped,
-            state,
-        )
-    )
-    return format_table(
-        [
-            "experiment",
-            "cache hits",
-            "cache misses",
-            "nodes planned",
-            "fused",
-            "deduped",
-            "state",
-        ],
-        rows,
-        title="Sweep cache",
-    )
-
-
-def run_and_report(
-    output_dir: Path | None = None,
-    ids: list[str] | None = None,
-    jobs: int = 1,
-    cache_dir: Path | None = None,
-    server: str | None = None,
-    max_cache_mb: float | None = None,
-) -> int:
-    """Run experiments and print reports plus the wall-time summary.
-
-    The shared terminal flow behind both ``repro experiments`` and
-    ``python -m repro.experiments.runner``.
-    """
+    if args.list:
+        for exp_id in sorted(all_experiments()):
+            print(exp_id)
+        return 0
     start = time.perf_counter()
-    runs = run_experiments(
-        output_dir,
-        ids,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        server=server,
-        max_cache_mb=max_cache_mb,
-    )
+    runs = run_experiments(args.output, args.ids or None, jobs=args.jobs)
     elapsed = time.perf_counter() - start
     for run in runs:
         print(run.report)
         print()
     if runs:
         print(_timing_table(runs, elapsed))
-        cache_report = _cache_table(runs)
-        if cache_report is not None:
-            print()
-            print(cache_report)
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("ids", nargs="*", help="experiment ids (default: all)")
-    parser.add_argument("--list", action="store_true", help="list experiment ids")
-    parser.add_argument("--output", type=Path, default=None, help="CSV directory")
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="experiments to run concurrently"
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        help="enable the disk-backed sweep cache under this directory",
-    )
-    parser.add_argument(
-        "--max-cache-mb",
-        type=float,
-        default=None,
-        help="LRU bound per cache tier (MiB); default unbounded",
-    )
-    parser.add_argument(
-        "--server",
-        default=None,
-        help="route sweeps through a running `repro serve` daemon (URL)",
-    )
-    args = parser.parse_args(argv)
+    from repro.cli import experiments_arguments
 
-    if args.list:
-        for exp_id in sorted(all_experiments()):
-            print(exp_id)
-        return 0
-    return run_and_report(
-        args.output,
-        args.ids or None,
-        jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        server=args.server,
-        max_cache_mb=args.max_cache_mb,
+    parser = argparse.ArgumentParser(
+        description=__doc__, parents=[experiments_arguments()]
     )
+    return run_from_args(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

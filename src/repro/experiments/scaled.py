@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.batch import (
     SweepSpec,
-    cached_run_sweep,
+    run_sweep,
     scaled_speedup_banyan_curve,
     scaled_speedup_hypercube_curve,
 )
@@ -119,7 +119,7 @@ def run_extremal() -> ExperimentResult:
         stencil=FIVE_POINT,
         kind=PartitionKind.SQUARE,
     )
-    surfaces = cached_run_sweep(spec)
+    surfaces = run_sweep(spec)
     rows = []
     for name, _machine in machines:
         times = surfaces.cycle_time(name)[0]

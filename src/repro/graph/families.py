@@ -643,23 +643,6 @@ def _oracle_plan_grid(machine: BusArchitecture, axis: np.ndarray) -> dict[str, n
     }
 
 
-register_family(
-    Family(
-        op="plan_grid",
-        params=(BUS, BUS_SIZES),
-        axis="n_processors",
-        request="plan_grid",
-        detail=lambda a, p: f"{machine_label(a['machine'])} p_axis={p.size}",
-        numpy=_numpy_plan_grid,
-        oracle=_oracle_plan_grid,
-        doc="""Lazy capacity-plan curve: minimal grid sides over a machine-size axis.
-
-    The request tuple matches the CLI's historical ``("plan_grid", …)``
-    entry, so stores warmed by either path serve the other.
-    """,
-    )
-)
-
 #: The machine sizes a capacity plan without ``grid`` reports.
 _PLAN_SIZES = (8, 16, 32)
 

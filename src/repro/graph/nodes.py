@@ -55,7 +55,6 @@ __all__ = [
     "minimal_problem_size",
     "grid_for_efficiency",
     "sweep",
-    "plan_grid",
     "capacity_plan",
     "sim_sweep",
     "sim_validate",
@@ -153,7 +152,6 @@ allocation_curve = _publish("allocation_curve", "allocation_curve")
 max_useful_processors = _publish("max_useful_processors", "max_useful")
 minimal_problem_size = _publish("minimal_problem_size", "n2_min")
 grid_for_efficiency = _publish("grid_for_efficiency", "grid_for_efficiency")
-plan_grid = _publish("plan_grid", "plan_grid")
 capacity_plan = _publish("capacity_plan", "plan")
 sim_sweep = _publish("sim_sweep", "sim_sweep")
 sim_validate = _publish("sim_validate", "sim_validate")

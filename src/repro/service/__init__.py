@@ -24,10 +24,9 @@ function over HTTP with nothing beyond the standard library:
   over a thread-safe keep-alive connection pool, with stale-socket
   replay and bounded exponential-backoff retry; arrays travel
   as zero-copy binary frames (:mod:`repro.service.frame`).
-* :class:`RemoteSweepCache` — a :class:`~repro.batch.SweepCache` whose
-  slow tier is the daemon instead of a local directory; the experiment
-  runner's ``--server`` routes every worker's sweeps through one warm,
-  deduplicated store and still reports true hit/miss totals.
+
+A family request posted to ``/v1/compute`` is the only way to use the
+daemon: it has no route that reads or writes store entries directly.
 
 Usage::
 
@@ -47,7 +46,7 @@ response's ``served`` field says how (``memory``/``disk``/``coalesced``
 """
 
 from repro.service.aserver import AsyncSweepServer
-from repro.service.client import RemoteSweepCache, ServiceClient, ServiceError
+from repro.service.client import ServiceClient, ServiceError
 from repro.service.frame import FRAME_CONTENT_TYPE, FrameError, decode_frame, encode_frame, frame_bytes
 from repro.service.server import ServiceCore
 
@@ -55,7 +54,6 @@ __all__ = [
     "FRAME_CONTENT_TYPE",
     "AsyncSweepServer",
     "FrameError",
-    "RemoteSweepCache",
     "ServiceClient",
     "ServiceCore",
     "ServiceError",

@@ -72,7 +72,7 @@ DEFAULT_MAX_PIPELINE = 64
 #: request — 431 and hang up.
 _MAX_HEAD_BYTES = 64 * 1024
 
-#: Largest accepted request body (cache PUTs of big sweeps included).
+#: Largest accepted request body: one ``/v1/compute`` JSON request.
 _MAX_BODY_BYTES = 256 * 2**20
 
 #: Bodies at most this large are gathered into one ``transport.write``;

@@ -1,30 +1,24 @@
-"""Clients for the sweep server: typed requests and the remote cache tier.
+"""The sweep server's client: family requests in, exact arrays out.
 
 :class:`ServiceClient` wraps the daemon's HTTP surface with exact array
-round-tripping; :class:`RemoteSweepCache` plugs the daemon in as a
-:class:`~repro.batch.SweepCache` slow tier, which is how the experiment
-runner's ``--server`` routes every worker's sweeps through one shared,
-deduplicated store while still counting its own hits and misses (the
-counts a report can aggregate — a daemon-side hit is invisible to a
-worker's local stats otherwise).
+round-tripping.  Its one way to ask for a result is a family request
+(:mod:`repro.graph.families`) posted to ``/v1/compute``; ``/healthz``
+and ``/v1/stats`` are the only other routes.
 
 Transport: every request — one compute, a pipelined batch, ``/healthz``,
-``/v1/stats``, a cache GET or PUT — is written as raw HTTP/1.1 bytes to
-a keep-alive socket (Nagle off) from a thread-safe pool, and its reply
+``/v1/stats`` — is written as raw HTTP/1.1 bytes to a keep-alive socket (Nagle off) from a thread-safe pool, and its reply
 is read back by one small buffered parser.  A warm request therefore
 costs one socket write and one read, not a TCP handshake.  The parser
 frames replies by ``Content-Length`` only, which is all the daemon
 sends; a chunked or close-delimited reply is a protocol error, never a
-misread body.  A stale pooled socket (the server closed an idle
-keep-alive connection) is replayed on a fresh connection; genuinely
-transient transport errors get a bounded exponential-backoff retry — on
-by default for the idempotent surface (GETs and the pure
-``/v1/compute`` POSTs), off by default for PUTs.  One loop does both
-for every request.
+misread body.  Every request is replayable — the routes are GETs and
+the pure ``/v1/compute`` POST — so a stale pooled socket (the server
+closed an idle keep-alive connection) is replayed on a fresh
+connection, and genuinely transient transport errors get a bounded
+exponential-backoff retry.  One loop does both for every request.
 
-Protocol: arrays travel as binary frames (:mod:`repro.service.frame`)
-both ways — compute results and cache entries come back as frames, and
-cache PUT bodies go out as frames.  Errors, ``/healthz`` and
+Protocol: compute results come back as binary frames
+(:mod:`repro.service.frame`).  Requests, errors, ``/healthz`` and
 ``/v1/stats`` are JSON.
 
 Retries back off with *full jitter*: the nth retry sleeps a uniform
@@ -54,14 +48,12 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.batch.cache import SweepCache
 from repro.core.parameters import DEFAULT_T_FLOP
 from repro.errors import ReproError
 from repro.service.frame import (
     FRAME_CONTENT_TYPE,
     FrameError,
     decode_frame,
-    frame_bytes,
 )
 from repro.service.schema import (
     allocation_payload,
@@ -71,7 +63,7 @@ from repro.service.schema import (
     sweep_payload,
 )
 
-__all__ = ["ServiceClient", "RemoteSweepCache", "ServiceError"]
+__all__ = ["ServiceClient", "ServiceError"]
 
 
 class ServiceError(ReproError, RuntimeError):
@@ -271,17 +263,12 @@ class ServiceClient:
         Keep-alive connections retained for reuse; concurrent callers
         beyond this open (and afterwards discard) extra sockets.
     retries, backoff_s:
-        Bounded retry budget for transient transport errors on the
-        idempotent surface.  The nth retry sleeps a full-jitter
+        Bounded retry budget for transient transport errors.  The nth retry sleeps a full-jitter
         uniform duration in ``[0, backoff_s * 2**n]``, so concurrent
         clients retrying a restarted daemon spread out instead of
         stampeding in lockstep.  ``retries=0`` disables everything
         except the single stale-socket replay that keep-alive pooling
         requires.
-    retry_non_idempotent:
-        Extend the retry budget (and the stale-socket replay) to PUTs.
-        Off by default; safe to enable against the sweep daemon, whose
-        cache PUTs are content-addressed and therefore replayable.
     pipeline:
         Default HTTP/1.1 pipelining depth for :meth:`compute_many`:
         how many requests ride one socket before the first response is
@@ -299,7 +286,6 @@ class ServiceClient:
         pool_size: int = 4,
         retries: int = 2,
         backoff_s: float = 0.05,
-        retry_non_idempotent: bool = False,
         pipeline: int = 1,
         rng: random.Random | None = None,
     ) -> None:
@@ -314,7 +300,6 @@ class ServiceClient:
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.backoff_s = float(backoff_s)
-        self.retry_non_idempotent = bool(retry_non_idempotent)
         self.pipeline = max(1, int(pipeline))
         self._rng = rng if rng is not None else random.Random()
         self._prefix = split.path.rstrip("/")
@@ -360,9 +345,7 @@ class ServiceClient:
             return (head + "\r\n").encode("ascii")
         return (head + f"Content-Length: {len(data)}\r\n\r\n").encode("ascii") + data
 
-    def _exchange(
-        self, requests: Sequence[bytes], depth: int, replayable: bool
-    ) -> list[_Reply]:
+    def _exchange(self, requests: Sequence[bytes], depth: int) -> list[_Reply]:
         """Send ``requests`` over a pooled connection; their replies, in order.
 
         A transport failure on a *pooled* connection is replayed on a
@@ -370,7 +353,7 @@ class ServiceClient:
         normal fate of a keep-alive socket the server timed out, not a
         server problem.  Fresh-connection failures consume ``retries``
         with full-jitter backoff.  Either replay resends every request,
-        so only a ``replayable`` batch gets them.  Timeouts and replies
+        which is safe because every route is pure.  Timeouts and replies
         that cannot be framed are never retried.
         """
         attempts = 0
@@ -384,10 +367,10 @@ class ServiceClient:
                     f"sweep server timed out at {self.base_url} after {self.timeout}s"
                 ) from None
             except ConnectionError as exc:
-                if replayable and pooled and replays <= self._pool.size:
+                if pooled and replays <= self._pool.size:
                     replays += 1  # a stale keep-alive socket, not a failure
                     continue
-                if replayable and attempts < self.retries:
+                if attempts < self.retries:
                     time.sleep(self._retry_delay(attempts))
                     attempts += 1
                     continue
@@ -413,17 +396,10 @@ class ServiceClient:
         method: str = "GET",
         content_type: str | None = None,
         accept: str | None = None,
-        idempotent: bool = True,
     ) -> tuple[int, str, bytes]:
-        """One request over a pooled connection: ``(status, ctype, body)``.
-
-        Non-idempotent requests (PUTs) are neither replayed nor retried
-        unless ``retry_non_idempotent`` is set.
-        """
+        """One request over a pooled connection: ``(status, ctype, body)``."""
         request = self._raw_request(method, path, data, content_type, accept)
-        (reply,) = self._exchange(
-            [request], 1, idempotent or self.retry_non_idempotent
-        )
+        (reply,) = self._exchange([request], 1)
         return reply
 
     def _parse_json(self, status: int, body: bytes, path: str) -> dict[str, Any]:
@@ -509,7 +485,7 @@ class ServiceClient:
             )
             for payload in payloads
         ]
-        replies = self._exchange(requests, depth, replayable=True)
+        replies = self._exchange(requests, depth)
         results: list[dict[str, np.ndarray]] = []
         for index, reply in enumerate(replies):
             try:
@@ -604,84 +580,3 @@ class ServiceClient:
         return self.compute(
             sim_validate_payload(machine, n, processors, stencil, kind, t_flop, mode)
         )
-
-    # ------------------------------------------------------- shared store API
-
-    def cache_get(self, key: str) -> dict[str, np.ndarray] | None:
-        status, _ctype, body = self._request(
-            f"/v1/cache/{key}", accept=FRAME_CONTENT_TYPE
-        )
-        if status == 404:
-            return None
-        if status != 200:
-            raise ServiceError(f"cache fetch failed ({status}) for {key}")
-        try:
-            arrays, _meta = decode_frame(body)
-        except FrameError:
-            # A torn response is a miss, same as a corrupt local file.
-            return None
-        return arrays
-
-    def cache_put(self, key: str, arrays: Mapping[str, np.ndarray]) -> None:
-        status, _ctype, _body = self._request(
-            f"/v1/cache/{key}",
-            frame_bytes(arrays),
-            method="PUT",
-            content_type=FRAME_CONTENT_TYPE,
-            idempotent=False,
-        )
-        if status != 200:
-            raise ServiceError(f"cache store failed ({status}) for {key}")
-
-
-class RemoteSweepCache(SweepCache):
-    """A :class:`SweepCache` whose slow tier is a running sweep server.
-
-    Lookups try local memory first, then ``GET /v1/cache/<key>`` —
-    remote answers count as ``disk_hits`` (the shared-store tier) in
-    this cache's *own* :class:`~repro.batch.cache.CacheStats`, so a
-    worker process routed through the daemon still reports true totals
-    instead of undercounting hits that happened server-side.  Stores
-    land in local memory and are pushed to the daemon, where every
-    other worker (and the daemon's compute path itself) can hit them.
-
-    The transport rides the client's keep-alive pool.  Retries extend to
-    PUTs here (``retry_non_idempotent=True``): the store is
-    content-addressed, so replaying a cache insert is harmless by
-    construction.  A daemon that cannot be reached or rejects a request
-    degrades this tier the way a failing disk degrades a local one: the
-    failed GET (other than a 404) or PUT is counted in ``disk_errors``,
-    and the lookup is a miss or the entry stays in local memory.
-    """
-
-    def __init__(
-        self,
-        base_url: str,
-        timeout: float = 120.0,
-        max_bytes: int | None = None,
-        pool_size: int = 4,
-        retries: int = 2,
-        backoff_s: float = 0.05,
-    ) -> None:
-        super().__init__(cache_dir=None, max_bytes=max_bytes)
-        self.client = ServiceClient(
-            base_url,
-            timeout=timeout,
-            pool_size=pool_size,
-            retries=retries,
-            backoff_s=backoff_s,
-            retry_non_idempotent=True,
-        )
-
-    def _disk_fetch(self, key: str) -> dict[str, np.ndarray] | None:
-        try:
-            return self.client.cache_get(key)
-        except ServiceError:
-            self._count_disk_error()
-            return None
-
-    def _disk_put(self, key: str, value: Mapping[str, np.ndarray]) -> None:
-        try:
-            self.client.cache_put(key, value)
-        except ServiceError:
-            self._count_disk_error()

@@ -20,5 +20,5 @@ __all__ = [
 ]
 
 #: The frame's media type: the ``Content-Type`` of every array-bearing
-#: response and cache PUT body.
+#: response.
 FRAME_CONTENT_TYPE = "application/x-repro-frame"

@@ -32,9 +32,10 @@ Endpoints::
 
     GET  /healthz             liveness + served kinds + timeouts
     GET  /v1/stats            cache + coalescing counters
-    GET  /v1/cache/<key>      one entry as a binary frame
-    PUT  /v1/cache/<key>      insert one entry (binary-frame body)
     POST /v1/compute          one request of any registered family
+
+Any other path is a 404 and any other method a 501: store entries are
+reached only through the compute requests they answer.
 
 Everything above lives in :class:`ServiceCore`, which is
 transport-agnostic: it turns ``(method, path, body)`` into a
@@ -64,7 +65,6 @@ client sending half a header and stalling) are closed after
 from __future__ import annotations
 
 import json
-import re
 import threading
 import time
 from collections import OrderedDict
@@ -79,13 +79,7 @@ from repro.graph.executors import NumpyExecutor
 from repro.graph.families import kinds
 from repro.graph.nodes import Node
 from repro.graph.planner import plan as plan_graph
-from repro.service.frame import (
-    FRAME_CONTENT_TYPE,
-    FrameError,
-    decode_frame,
-    encode_frame,
-    frame_length,
-)
+from repro.service.frame import FRAME_CONTENT_TYPE, encode_frame, frame_length
 from repro.service.schema import error_body, json_body, parse_request
 
 __all__ = [
@@ -106,10 +100,6 @@ DEFAULT_READ_TIMEOUT_S = 60.0
 #: How long a graceful shutdown waits for in-flight requests to finish
 #: before giving up on them.
 DEFAULT_DRAIN_TIMEOUT_S = 10.0
-
-#: Fingerprints are SHA-256 hex digests; anything else never names a
-#: cache entry and must not reach the filesystem layer.
-_KEY_RE = re.compile(r"^[0-9a-f]{64}$")
 
 #: Request-body → fingerprint memo entries kept (LRU).  Bodies are a
 #: few KiB, so the memo is ~1–2 MiB at the cap — cheap insurance that a
@@ -314,9 +304,6 @@ class ServiceCore:
     def stats_payload(self) -> dict[str, Any]:
         with self._counters_lock:
             counters = dict(self._counters)
-        # Only compute-path outcomes feed the ratio: shared-store GET/PUT
-        # traffic (runner workers) also moves the cache's own hit
-        # counters, which would make a hits/requests quotient meaningless.
         dedup = counters["hits"] + counters["coalesced"] + counters["batched"]
         # A locked snapshot, not a field-by-field read of cache.stats: a
         # concurrent compute landing mid-read would tear the counters
@@ -508,8 +495,8 @@ class ServiceCore:
     ) -> Response:
         return Response(status, "application/json", [error_body(message)], close=close)
 
-    def _respond_frame(
-        self, arrays: Mapping[str, np.ndarray], meta: Mapping[str, Any]
+    def _respond_arrays(
+        self, arrays: Mapping[str, np.ndarray], served: str
     ) -> Response:
         """One binary frame: header chunk, then each array's own buffer.
 
@@ -517,17 +504,8 @@ class ServiceCore:
         number formatting, no per-array ``bytes`` materialization — and
         ride untouched to the transport's socket write.
         """
+        meta = {"status": "ok", "served": served}
         return Response(200, FRAME_CONTENT_TYPE, encode_frame(arrays, meta))
-
-    def _respond_arrays(
-        self, arrays: Mapping[str, np.ndarray], served: str
-    ) -> Response:
-        return self._respond_frame(arrays, {"status": "ok", "served": served})
-
-    @staticmethod
-    def _cache_key(path: str) -> str | None:
-        key = path[len("/v1/cache/") :]
-        return key if _KEY_RE.fullmatch(key) else None
 
     def handle_request(self, method: str, path: str, body: bytes) -> Response:
         """Route one HTTP request; never raises.
@@ -540,8 +518,6 @@ class ServiceCore:
         try:
             if method == "GET":
                 return self._handle_get(path)
-            if method == "PUT":
-                return self._handle_put(path, body)
             if method == "POST":
                 return self._handle_post(path, body)
             return self.error_response(f"unsupported method {method}", 501)
@@ -560,28 +536,7 @@ class ServiceCore:
             )
         if path == "/v1/stats":
             return self._respond_json({"status": "ok", **self.stats_payload()})
-        if path.startswith("/v1/cache/"):
-            key = self._cache_key(path)
-            if key is None:
-                return self.error_response("malformed cache key", 400)
-            arrays, _level = self.cache.lookup_level(key)
-            if arrays is None:
-                return self.error_response("no such entry", 404)
-            return self._respond_frame(arrays, {"status": "ok"})
         return self.error_response(f"no route {path}", 404)
-
-    def _handle_put(self, path: str, body: bytes) -> Response:
-        if not path.startswith("/v1/cache/"):
-            return self.error_response(f"no route {path}", 404)
-        key = self._cache_key(path)
-        if key is None:
-            return self.error_response("malformed cache key", 400)
-        try:
-            arrays, _meta = decode_frame(body)
-        except FrameError as exc:
-            return self.error_response(str(exc), 400)
-        self.cache.store(key, arrays)
-        return self._respond_json({"status": "ok", "stored": key})
 
     def _handle_post(self, path: str, body: bytes) -> Response:
         if path != "/v1/compute":

@@ -47,7 +47,6 @@ SAMPLES = {
     "sweep": lambda: nodes.sweep(
         SweepSpec.across_catalog([32, 100], [1.0, 4.0, 9.0], machines=["ipsc", "flex32"])
     ),
-    "plan_grid": lambda: nodes.plan_grid(PAPER_BUS, [2, 8, 33]),
     "plan": lambda: nodes.capacity_plan(PAPER_BUS, 256),
     "sim_sweep": lambda: nodes.sim_sweep(
         PAPER_BUS, FIVE_POINT, SQUARE, 24, 4, [0, 7, 2**64 - 1], jitter=0.2

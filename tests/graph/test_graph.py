@@ -142,7 +142,8 @@ class TestExecutorParity:
 
     @pytest.mark.parametrize("name,machine", BUS_ITEMS)
     def test_plan_grid_backends_agree(self, name, machine):
-        node = nodes.plan_grid(machine, [2, 5, 8, 16, 32, 64])
+        # The grid branch of the capacity plan, on both kernels.
+        node = nodes.capacity_plan(machine, 256, [2, 5, 8, 16, 32, 64])
         (via_numpy,) = evaluate([node], executor="numpy")
         (via_oracle,) = evaluate([node], executor="oracle")
         _assert_arrays_equal(via_numpy, via_oracle)
@@ -357,7 +358,7 @@ class TestValidationAndRegistry:
                 PAPER_BUS, FIVE_POINT, PartitionKind.SQUARE, [4], 0.5
             )
         with pytest.raises(InvalidParameterError):
-            nodes.plan_grid(PAPER_BUS, [])
+            nodes.capacity_plan(PAPER_BUS, 256, [])
         with pytest.raises(InvalidParameterError):
             nodes.minimal_problem_size(
                 PAPER_BUS, FIVE_POINT, PartitionKind.SQUARE, [0]

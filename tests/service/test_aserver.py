@@ -24,7 +24,7 @@ from repro.batch.cache import SweepCache
 from repro.graph.families import kinds
 from repro.service import AsyncSweepServer, ServiceClient, ServiceCore
 from repro.service.aserver import _HttpError, _RequestParser
-from repro.service.frame import FRAME_CONTENT_TYPE, decode_frame, frame_bytes
+from repro.service.frame import FRAME_CONTENT_TYPE, decode_frame
 from repro.service.schema import (
     allocation_payload,
     plan_payload,
@@ -450,18 +450,3 @@ class TestTransportContract:
         # The same stream moved every counter identically: hits,
         # misses, coalesces, planner work.
         assert _counters(stats) == _counters(core.stats_payload())
-
-    def test_cache_tier_round_trips_like_the_in_process_core(self):
-        key = "d" * 64
-        path = f"/v1/cache/{key}"
-        arrays = {"curve": np.linspace(0.0, 1.0, 37), "n": np.arange(5)}
-        core = ServiceCore()
-        assert core.handle_request("PUT", path, frame_bytes(arrays)).status == 200
-        expected = core.handle_request("GET", path, b"")
-        with AsyncSweepServer(port=0) as server:
-            client = ServiceClient(server.url)
-            client.cache_put(key, arrays)
-            status, ctype, body = client._request(path, accept=FRAME_CONTENT_TYPE)
-            client.close()
-        assert (status, ctype) == (200, expected.content_type)
-        assert body == expected.body_bytes()

@@ -85,6 +85,22 @@ class TestRoundTrip:
             np.testing.assert_array_equal(decoded[name], arrays[name])
         assert np.signbit(decoded["speedup"][1])  # -0.0 keeps its sign bit
 
+    def test_every_served_kind_keeps_every_bit(self):
+        # Floats keep the sign of zero and subnormals, ints and strings
+        # keep their dtypes, matrices keep their shape.
+        arrays = {
+            "floats": np.array([1.0, -0.0, 1e-300, 5e-324, np.pi]),
+            "ints": np.arange(7, dtype=np.int64),
+            "strings": np.asarray(["one", "interior", "all"]),
+            "matrix": np.arange(6.0).reshape(2, 3),
+        }
+        back, _ = roundtrip(arrays)
+        for name, value in arrays.items():
+            assert back[name].dtype == value.dtype
+            assert back[name].shape == value.shape
+            assert back[name].tobytes() == value.tobytes()
+        assert np.signbit(back["floats"][1])
+
     def test_meta_rides_the_header(self):
         decoded, meta = decode_frame(
             frame_bytes({"x": np.arange(3.0)}, {"status": "ok", "served": "memory"})
@@ -241,22 +257,28 @@ class TestMalformed:
         with pytest.raises(FrameError, match="trailing"):
             decode_frame(bytes(frame_bytes({"x": np.arange(4.0)})) + b"xx")
 
-    def test_malformed_put_body_is_a_clean_400(self):
-        import urllib.request
-        import urllib.error
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"x": [0.0, 1.0, 2.0]}',
+            b"",
+            b"REPROFR1garbage",
+            bytes(frame_bytes({"x": np.arange(8.0)}))[:-5],
+            bytes(frame_bytes({"x": np.arange(8.0)})) + b"xx",
+        ],
+        ids=["json", "empty", "garbage-after-magic", "truncated-frame", "trailing-bytes"],
+    )
+    def test_non_frame_bodies_are_malformed_frames(self, body):
+        with pytest.raises(FrameError, match="malformed frame"):
+            decode_frame(body)
 
-        with AsyncSweepServer(port=0) as server:
-            request = urllib.request.Request(
-                f"{server.url}/v1/cache/{'a' * 64}",
-                data=b"REPROFR1garbage",
-                method="PUT",
-                headers={"Content-Type": FRAME_CONTENT_TYPE},
-            )
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(request)
-            assert excinfo.value.code == 400
-            assert b"malformed frame" in excinfo.value.read()
+    def test_npz_body_is_a_malformed_frame(self):
+        import io
 
+        buffer = io.BytesIO()
+        np.savez(buffer, x=np.arange(3.0))
+        with pytest.raises(FrameError, match="malformed frame"):
+            decode_frame(buffer.getvalue())
 
 class TestEndToEnd:
     @pytest.fixture()
@@ -285,77 +307,6 @@ class TestEndToEnd:
         assert meta == {"status": "ok", "served": "memory"}
         for name, value in expected.items():
             assert arrays[name].tobytes() == value.tobytes()
-
-    def test_npz_put_body_is_a_400(self, server):
-        import io
-
-        buffer = io.BytesIO()
-        np.savez(buffer, x=np.arange(3.0))
-        client = ServiceClient(server.url)
-        key = "c" * 64
-        for ctype in ("application/octet-stream", FRAME_CONTENT_TYPE):
-            status, _ctype, body = client._request(
-                f"/v1/cache/{key}",
-                buffer.getvalue(),
-                method="PUT",
-                content_type=ctype,
-                idempotent=False,
-            )
-            assert status == 400
-            assert b"malformed frame" in body
-        assert client.cache_get(key) is None  # nothing was stored
-
-    @pytest.mark.parametrize(
-        "body",
-        [
-            b'{"x": [0.0, 1.0, 2.0]}',
-            b"",
-            bytes(frame_bytes({"x": np.arange(8.0)}))[:-5],
-            bytes(frame_bytes({"x": np.arange(8.0)})) + b"xx",
-        ],
-        ids=["json", "empty", "truncated-frame", "trailing-bytes"],
-    )
-    def test_non_frame_put_bodies_are_a_400(self, server, body):
-        client = ServiceClient(server.url)
-        key = "f" * 64
-        status, ctype, reply = client._request(
-            f"/v1/cache/{key}",
-            body,
-            method="PUT",
-            content_type=FRAME_CONTENT_TYPE,
-            idempotent=False,
-        )
-        assert (status, ctype) == (400, "application/json")
-        assert b"malformed frame" in reply
-        assert client.cache_get(key) is None  # nothing was stored
-
-    def test_cache_tier_keeps_every_bit_of_every_served_kind(self, server):
-        # Floats keep the sign of zero and subnormals, ints and strings
-        # keep their dtypes, matrices keep their shape.
-        arrays = {
-            "floats": np.array([1.0, -0.0, 1e-300, 5e-324, np.pi]),
-            "ints": np.arange(7, dtype=np.int64),
-            "strings": np.asarray(["one", "interior", "all"]),
-            "matrix": np.arange(6.0).reshape(2, 3),
-        }
-        client = ServiceClient(server.url)
-        client.cache_put("9" * 64, arrays)
-        back = client.cache_get("9" * 64)
-        assert list(back) == list(arrays)
-        for name, value in arrays.items():
-            assert back[name].dtype == value.dtype
-            assert back[name].shape == value.shape
-            assert back[name].tobytes() == value.tobytes()
-        assert np.signbit(back["floats"][1])
-
-    def test_cache_tier_round_trips_frames(self, server):
-        client = ServiceClient(server.url)
-        key = "e" * 64
-        arrays = {"x": np.linspace(0, 1, 33), "names": np.asarray(["a", "bb"])}
-        client.cache_put(key, arrays)
-        back = client.cache_get(key)
-        np.testing.assert_array_equal(back["x"], arrays["x"])
-        np.testing.assert_array_equal(back["names"], arrays["names"])
 
     def test_compute_answers_in_frames_without_negotiation(self, server):
         # Frames are the only array encoding, so /healthz names none.
