@@ -9,10 +9,10 @@ simulator's win is tracked across PRs:
   through the event-level :func:`repro.sim.replica.simulate_replica`.
   The two are asserted bit-equal first; the gate is the speedup:
   the lockstep path must be at least ``MIN_SPEEDUP`` times faster.
-* **warm cache** — the same ensemble served twice through
-  :func:`repro.batch.sim.simulate_replicas_cached` against a fresh
-  store: the second call must be answered by the cache (a memory hit),
-  and its wall time is reported next to the cold compute.
+* **warm cache** — the same ensemble, as its ``sim_sweep`` graph node,
+  planned twice through ``repro.graph.evaluate`` against a fresh store:
+  the second call must be answered by the cache (a memory hit), and its
+  wall time is reported next to the cold compute.
 
 Run as a script (CI's smoke bench) or under pytest:
 
@@ -31,11 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.batch.cache import SweepCache
-from repro.batch.sim import (
-    ReplicaBatchSpec,
-    simulate_replicas,
-    simulate_replicas_cached,
-)
+from repro.batch.sim import ReplicaBatchSpec, simulate_replicas
+from repro.graph import evaluate, nodes
 from repro.machines.catalog import DEFAULT_MACHINES
 from repro.report.csvio import default_results_dir
 from repro.sim.replica import simulate_replica
@@ -100,18 +97,22 @@ def bench_batched_vs_scalar() -> dict:
 def bench_warm_cache() -> dict:
     """Cold compute-and-store, then the same request as a cache hit."""
     spec = _ensemble()
+    node = nodes.sim_sweep(
+        spec.machine, spec.stencil, spec.kind, spec.grid_sides[0], spec.processors[0],
+        spec.seeds, jitter=spec.jitter,
+    )
     with tempfile.TemporaryDirectory() as tmp:
         cache = SweepCache(cache_dir=tmp)
 
         start = time.perf_counter()
-        cold = simulate_replicas_cached(spec, cache=cache)
+        (cold,) = evaluate([node], cache=cache)
         cold_s = time.perf_counter() - start
 
         start = time.perf_counter()
-        warm = simulate_replicas_cached(spec, cache=cache)
+        (warm,) = evaluate([node], cache=cache)
         warm_s = time.perf_counter() - start
 
-        np.testing.assert_array_equal(cold.cycle_times, warm.cycle_times)
+        np.testing.assert_array_equal(cold["cycle_times"], warm["cycle_times"])
         snapshot = cache.stats_snapshot()
 
     return {

@@ -23,6 +23,7 @@ Run:  python examples/monte_carlo_simulation.py
 import numpy as np
 
 from repro.batch.sim import ReplicaBatchSpec, simulate_replicas
+from repro.graph.families import family_for
 from repro.machines.catalog import PAPER_BUS
 from repro.service import AsyncSweepServer, ServiceClient
 from repro.stencils.library import FIVE_POINT
@@ -49,14 +50,16 @@ def offline_ensemble() -> np.ndarray:
 
 def served_ensemble(server: AsyncSweepServer, offline: np.ndarray) -> None:
     client = ServiceClient(server.url)
-    arrays = client.sim_sweep(
-        "paper-bus", N, P, replicas=REPLICAS, jitter=0.05
+    # Consecutive seeds travel as the replicas + seed shorthand.
+    request = family_for("sim_sweep").payload(
+        machine="paper-bus", n=N, n_processors=P, seeds=range(REPLICAS), jitter=0.05
     )
+    arrays = client.compute(request)
     identical = arrays["cycle_times"].tobytes() == offline.tobytes()
     print(f"daemon: {arrays['cycle_times'].size} replicas served "
           f"({client.last_served}); bit-identical to offline: {identical}")
 
-    client.sim_sweep("paper-bus", N, P, replicas=REPLICAS, jitter=0.05)
+    client.compute(request)
     print(f"repeat served from: {client.last_served}")
     stats = client.stats()
     print(f"daemon counters: sim={stats['counters']['sim']}, "
@@ -65,7 +68,9 @@ def served_ensemble(server: AsyncSweepServer, offline: np.ndarray) -> None:
 
 def served_validation(server: AsyncSweepServer) -> None:
     client = ServiceClient(server.url)
-    arrays = client.sim_validate("paper-bus", N, [1, 2, 4, 8, 16])
+    arrays = client.compute(
+        family_for("sim_validate").payload("paper-bus", n=N, processor_counts=[1, 2, 4, 8, 16])
+    )
     print("model vs simulation (paper-bus, 5-point squares):")
     print("  P     analytic      simulated     rel err")
     for p, a, s in zip(

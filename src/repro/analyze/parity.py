@@ -39,20 +39,21 @@ from .framework import Finding, Project, Rule, register_rule
 __all__ = ["ParityRule", "PAIRS", "EXEMPT"]
 
 #: scalar closed form -> name of its vectorized twin (looked up anywhere
-#: in the project tree; twins live in repro.batch.* or alongside the
-#: scalar in repro.core).
+#: in the project tree; twins live in repro.batch.*, alongside the
+#: scalar in repro.core, or, for the graph's reductions, in
+#: repro.graph.planner).  A family's twin is its NumPy kernel.
 PAIRS: dict[str, str] = {
     "admissible_area_range": "_admissible_range_grid",
     "optimize_allocation": "optimal_allocation_curve",
-    "speedup_ratio": "speedup_ratio_curve",
-    "strip_square_ratio": "strip_square_ratio_curve",
+    "speedup_ratio": "_speedup_quotient",
+    "strip_square_ratio": "_speedup_quotient",
     "find_crossover_grid_size": "find_crossover_grid_size_batch",
-    "grid_for_efficiency": "grid_for_efficiency_curve",
-    "isoefficiency_exponent": "isoefficiency_exponent_grid",
+    "grid_for_efficiency": "_compute_grid_for_efficiency",
+    "isoefficiency_exponent": "_fit_isoefficiency",
     "uses_all_processors": "uses_all_processors_curve",
     "minimal_grid_side": "minimal_grid_side_curve",
-    "minimal_problem_size": "minimal_problem_size_curve",
-    "max_useful_processors": "max_useful_processors_curve",
+    "minimal_problem_size": "_compute_minimal_problem_size",
+    "max_useful_processors": "_compute_max_useful",
     "scaled_speedup_hypercube": "scaled_speedup_hypercube_curve",
     "scaled_speedup_banyan": "scaled_speedup_banyan_curve",
     "table1_optimal_speedup": "table1_speedup_curve",

@@ -62,15 +62,9 @@ from repro.batch.engine import SweepSpec, SweepResult, run_sweep
 from repro.batch.analysis import (
     AllocationCurve,
     find_crossover_grid_size_batch,
-    grid_for_efficiency_curve,
-    isoefficiency_exponent_grid,
-    max_useful_processors_curve,
-    minimal_problem_size_curve,
     optimal_allocation_curve,
     scaled_speedup_banyan_curve,
     scaled_speedup_hypercube_curve,
-    speedup_ratio_curve,
-    strip_square_ratio_curve,
 )
 from repro.batch.cache import (
     CacheStats,
@@ -83,15 +77,15 @@ from repro.batch.sim import (
     machine_sim_tag,
     replica_request,
     simulate_replicas,
-    simulate_replicas_cached,
 )
 
-# The analysis shims bind repro.graph lazily per call to keep the
-# module graph acyclic (graph.nodes imports repro.batch.cache).  Load
-# it eagerly here — cache/engine/analysis are fully defined by now —
-# so the first curve call doesn't pay the graph's import cost inside a
-# caller's timed region.  When repro.graph itself started the import
-# chain, it is already (partially) in sys.modules and this is a no-op.
+# optimal_allocation_curve binds repro.graph lazily per call to keep
+# the module graph acyclic (graph.nodes imports repro.batch.cache).
+# Load it eagerly here — cache/engine/analysis are fully defined by
+# now — so the first curve call doesn't pay the graph's import cost
+# inside a caller's timed region.  When repro.graph itself started the
+# import chain, it is already (partially) in sys.modules and this is a
+# no-op.
 import repro.graph  # noqa: E402,F401  (eager: first-call latency)
 
 __all__ = [
@@ -110,13 +104,9 @@ __all__ = [
     "uses_all_processors_curve",
     "find_crossover_grid_size_batch",
     "fingerprint",
-    "grid_for_efficiency_curve",
-    "isoefficiency_exponent_grid",
     "k_matrix",
     "machine_sim_tag",
-    "max_useful_processors_curve",
     "minimal_grid_side_curve",
-    "minimal_problem_size_curve",
     "optimal_allocation_curve",
     "optimal_speedup_curve",
     "rectangle_error_curves",
@@ -125,8 +115,5 @@ __all__ = [
     "scaled_speedup_banyan_curve",
     "scaled_speedup_hypercube_curve",
     "simulate_replicas",
-    "simulate_replicas_cached",
-    "speedup_ratio_curve",
-    "strip_square_ratio_curve",
     "table1_speedup_curve",
 ]

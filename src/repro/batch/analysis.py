@@ -17,15 +17,13 @@ and ``tests/batch/test_analysis.py`` pins the equality across all four
 machine families, both partition kinds, and both stencils.  The scalar
 path remains the oracle; this layer is how it is served at scale.
 
-The public curve functions are *eager shims over the sweep graph*
-(:mod:`repro.graph`): each call builds the corresponding lazy
-:class:`~repro.graph.nodes.Node` and evaluates it through the planner,
-so caching, sibling fusion, and executor choice live in one place for
-every consumer.  The ``_compute_*`` kernels below remain the NumPy
-executor's implementation — same operations, same order, same bits.
-
-All entry points accept an optional ``cache`` (see
-:mod:`repro.batch.cache`); when omitted, they compute directly.
+The request families (:mod:`repro.graph.families`) serve these
+questions: their NumPy kernels are the ``_compute_*`` functions here,
+and :mod:`repro.graph` plans, caches and fuses them.  To evaluate one,
+build its node and plan it (``graph.evaluate([nodes.X(...)],
+cache=...)``).  :func:`optimal_allocation_curve` is that call for the
+allocation family, returning an :class:`AllocationCurve`.  The rest of
+this module is array math that consumes whole axes directly.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ import numpy as np
 from repro.batch.cache import SweepCache
 from repro.batch.curves import _libm_pow, bus_optimal_area_curve
 from repro.core.crossover import CrossoverResult
-from repro.core.isoefficiency import IsoefficiencyFit
 from repro.core.minimal_size import _volume_coefficient
 from repro.core.parameters import DEFAULT_T_FLOP
 from repro.errors import InvalidParameterError
@@ -53,13 +50,7 @@ from repro.stencils.stencil import Stencil
 __all__ = [
     "AllocationCurve",
     "optimal_allocation_curve",
-    "max_useful_processors_curve",
-    "minimal_problem_size_curve",
-    "speedup_ratio_curve",
-    "strip_square_ratio_curve",
     "find_crossover_grid_size_batch",
-    "grid_for_efficiency_curve",
-    "isoefficiency_exponent_grid",
     "scaled_speedup_hypercube_curve",
     "scaled_speedup_banyan_curve",
 ]
@@ -288,6 +279,7 @@ def _compute_max_useful(
     n_arr: np.ndarray,
     t_flop: float,
 ) -> np.ndarray:
+    """Vectorized :func:`repro.core.minimal_size.max_useful_processors` over ``n``."""
     v = _volume_coefficient(machine, kind)
     k = perimeters_required(kind, stencil)
     et = stencil.flops_per_point * t_flop
@@ -297,26 +289,6 @@ def _compute_max_useful(
     return _libm_pow(ratio, 2.0 / 3.0)
 
 
-def max_useful_processors_curve(
-    machine: BusArchitecture,
-    stencil: Stencil,
-    kind: PartitionKind,
-    grid_sides: Sequence[int],
-    t_flop: float = DEFAULT_T_FLOP,
-    cache: SweepCache | None = None,
-) -> np.ndarray:
-    """Vectorized :func:`repro.core.minimal_size.max_useful_processors`.
-
-    ``N_max = sqrt(E·T·n / (v·k·b))`` for strips, the same ratio to the
-    2/3 power for squares, broadcast over the grid-side axis.
-    """
-    from repro.graph import nodes as graph_nodes
-    from repro.graph.planner import evaluate as graph_evaluate
-
-    node = graph_nodes.max_useful_processors(machine, stencil, kind, grid_sides, t_flop)
-    return graph_evaluate([node], cache=cache)[0]["max_useful"]
-
-
 def _compute_minimal_problem_size(
     machine: BusArchitecture,
     stencil: Stencil,
@@ -324,6 +296,7 @@ def _compute_minimal_problem_size(
     p: np.ndarray,
     t_flop: float,
 ) -> np.ndarray:
+    """Vectorized :func:`repro.core.minimal_size.minimal_problem_size` over ``P``."""
     from repro.batch.curves import minimal_grid_side_curve
 
     k = perimeters_required(kind, stencil)
@@ -333,69 +306,9 @@ def _compute_minimal_problem_size(
     return side * side
 
 
-def minimal_problem_size_curve(
-    machine: BusArchitecture,
-    stencil: Stencil,
-    kind: PartitionKind,
-    n_processors: Sequence[int],
-    t_flop: float = DEFAULT_T_FLOP,
-    cache: SweepCache | None = None,
-) -> np.ndarray:
-    """Vectorized :func:`repro.core.minimal_size.minimal_problem_size`.
-
-    ``n²_min`` over the processor-count axis (Figure 7's y-axis before
-    the log), via the closed-form minimal grid side.
-    """
-    from repro.graph import nodes as graph_nodes
-    from repro.graph.planner import evaluate as graph_evaluate
-
-    node = graph_nodes.minimal_problem_size(
-        machine, stencil, kind, n_processors, t_flop
-    )
-    return graph_evaluate([node], cache=cache)[0]["n2_min"]
-
-
 # --------------------------------------------------------------------------
 # Crossovers
 # --------------------------------------------------------------------------
-
-
-def speedup_ratio_curve(
-    machine_a: Architecture,
-    machine_b: Architecture,
-    stencil: Stencil,
-    kind: PartitionKind,
-    grid_sides: Sequence[int],
-    t_flop: float = DEFAULT_T_FLOP,
-    max_processors: float | None = None,
-    cache: SweepCache | None = None,
-) -> np.ndarray:
-    """Vectorized :func:`repro.core.crossover.speedup_ratio` (A/B > 1 ⇒ A wins)."""
-    from repro.graph import nodes as graph_nodes
-    from repro.graph.planner import evaluate as graph_evaluate
-
-    node = graph_nodes.speedup_ratio(
-        machine_a, machine_b, stencil, kind, grid_sides, t_flop, max_processors
-    )
-    return graph_evaluate([node], cache=cache)[0]
-
-
-def strip_square_ratio_curve(
-    machine: Architecture,
-    stencil: Stencil,
-    grid_sides: Sequence[int],
-    t_flop: float = DEFAULT_T_FLOP,
-    max_processors: float | None = None,
-    cache: SweepCache | None = None,
-) -> np.ndarray:
-    """Vectorized :func:`repro.core.crossover.strip_square_ratio` (< 1 ⇒ squares win)."""
-    from repro.graph import nodes as graph_nodes
-    from repro.graph.planner import evaluate as graph_evaluate
-
-    node = graph_nodes.strip_square_ratio(
-        machine, stencil, grid_sides, t_flop, max_processors
-    )
-    return graph_evaluate([node], cache=cache)[0]
 
 
 def find_crossover_grid_size_batch(
@@ -454,33 +367,6 @@ def find_crossover_grid_size_batch(
 # --------------------------------------------------------------------------
 
 
-def grid_for_efficiency_curve(
-    machine: Architecture,
-    stencil: Stencil,
-    kind: PartitionKind,
-    processor_counts: Sequence[int],
-    target_efficiency: float,
-    t_flop: float = DEFAULT_T_FLOP,
-    n_max: int = 1 << 18,
-    cache: SweepCache | None = None,
-) -> np.ndarray:
-    """Batched :func:`repro.core.isoefficiency.grid_for_efficiency`.
-
-    Runs the scalar routine's exponential-growth-then-bisection search
-    for *all* processor counts simultaneously: each round evaluates the
-    efficiency predicate on the whole frontier of active midpoints in
-    one ``cycle_time_area_grid`` call.  The predicate transcription is
-    bit-identical, so each returned grid side matches the scalar search.
-    """
-    from repro.graph import nodes as graph_nodes
-    from repro.graph.planner import evaluate as graph_evaluate
-
-    node = graph_nodes.grid_for_efficiency(
-        machine, stencil, kind, processor_counts, target_efficiency, t_flop, n_max
-    )
-    return graph_evaluate([node], cache=cache)[0]["sides"]
-
-
 def _compute_grid_for_efficiency(
     machine: Architecture,
     stencil: Stencil,
@@ -490,6 +376,13 @@ def _compute_grid_for_efficiency(
     t_flop: float,
     n_max: int,
 ) -> np.ndarray:
+    """Batched :func:`repro.core.isoefficiency.grid_for_efficiency` over ``P``.
+
+    Runs the scalar search (exponential growth, then bisection) for
+    every processor count at once: each round evaluates the efficiency
+    predicate on the whole frontier in one ``cycle_time_area_grid``
+    call.  The predicate transcription is bit-identical.
+    """
     p = p_int.astype(float)
 
     def efficient(n_arr: np.ndarray, p_arr: np.ndarray) -> np.ndarray:
@@ -547,29 +440,6 @@ def _compute_grid_for_efficiency(
         lo[idx[~ok]] = mid[idx[~ok]]
     sides[pending] = hi[pending]
     return sides.astype(int)
-
-
-def isoefficiency_exponent_grid(
-    machine: Architecture,
-    stencil: Stencil,
-    kind: PartitionKind,
-    processor_counts: Sequence[int],
-    target_efficiency: float = 0.5,
-    t_flop: float = DEFAULT_T_FLOP,
-    cache: SweepCache | None = None,
-) -> IsoefficiencyFit:
-    """Batched :func:`repro.core.isoefficiency.isoefficiency_exponent`.
-
-    Same fitted exponent, same grid sides, computed with one batched
-    efficiency search over the whole processor axis.
-    """
-    from repro.graph import nodes as graph_nodes
-    from repro.graph.planner import evaluate as graph_evaluate
-
-    node = graph_nodes.isoefficiency_fit(
-        machine, stencil, kind, processor_counts, target_efficiency, t_flop
-    )
-    return graph_evaluate([node], cache=cache)[0]
 
 
 # --------------------------------------------------------------------------

@@ -51,7 +51,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.batch.cache import SweepCache
 from repro.core.parameters import Workload
 from repro.errors import InvalidParameterError, SimulationError
 from repro.machines.banyan import BanyanNetwork
@@ -72,7 +71,6 @@ __all__ = [
     "machine_sim_tag",
     "replica_request",
     "simulate_replicas",
-    "simulate_replicas_cached",
 ]
 
 SIM_MODES = ("barrier", "pipelined")
@@ -502,24 +500,4 @@ def simulate_replicas(spec: ReplicaBatchSpec) -> ReplicaBatchResult:
         processors=procs,
         seeds=seeds,
         cycle_times=cycles,
-    )
-
-
-def simulate_replicas_cached(
-    spec: ReplicaBatchSpec, cache: SweepCache | None = None
-) -> ReplicaBatchResult:
-    """Serve a replica batch through ``cache``; without one, compute it."""
-    if cache is None:
-        return simulate_replicas(spec)
-    arrays = cache.get_or_compute(
-        replica_request(spec), lambda: simulate_replicas(spec).to_arrays()
-    )
-    return ReplicaBatchResult(
-        machine_name=spec.machine.name,
-        mode=spec.mode,
-        jitter=spec.jitter,
-        grid_sides=arrays["grid_sides"],
-        processors=arrays["processors"],
-        seeds=arrays["seeds"],
-        cycle_times=arrays["cycle_times"],
     )

@@ -343,17 +343,11 @@ def _render_simulation(args: argparse.Namespace, arrays) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.graph.families import MAX_REPLICAS
-
     _reject_server_plus_cache(args)
     if args.replicas < 1:
         raise InvalidParameterError(f"--replicas must be >= 1, got {args.replicas}")
-    if args.replicas > MAX_REPLICAS:
-        # Before any seed list is built: with --server it would be
-        # posted whole only for the daemon to refuse it.
-        raise InvalidParameterError(
-            f"--replicas: at most {MAX_REPLICAS} replicas per request, got {args.replicas}"
-        )
+    # The family bounds the replica count on either route, before any
+    # seed list is built; over the wire the range is two integers.
     return _evaluate(
         args,
         _render_simulation,

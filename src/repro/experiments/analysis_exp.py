@@ -19,8 +19,8 @@ import math
 
 import numpy as np
 
-from repro.batch import isoefficiency_exponent_grid
 from repro.experiments.registry import ExperimentResult, register
+from repro.graph import evaluate, nodes
 from repro.machines.banyan import BanyanNetwork
 from repro.machines.bus import SynchronousBus
 from repro.machines.hypercube import Hypercube
@@ -61,8 +61,12 @@ def run_isoefficiency(
     for label, machine, kind, expected in configs:
         # One batched efficiency search per configuration covers the
         # whole processor axis (scalar oracle: core.isoefficiency).
-        fit = isoefficiency_exponent_grid(
-            machine, FIVE_POINT, kind, list(processor_counts), target_efficiency
+        (fit,) = evaluate(
+            [
+                nodes.isoefficiency_fit(
+                    machine, FIVE_POINT, kind, list(processor_counts), target_efficiency
+                )
+            ]
         )
         rows.append((label, fit.exponent, expected, str(fit.problem_sizes)))
     result.add_table(

@@ -1,14 +1,15 @@
 """Lazy sweep graphs: build analysis requests as DAGs, then plan them.
 
-The graph layer is the one front door every consumer — the eager
-:mod:`repro.batch.analysis` shims, the sweep service, the CLI's
-``plan``/``optimize`` grid modes, the experiment runner — now routes
-through: build :class:`Node` objects, hand them to :func:`plan`, and
-the planner dedups shared subgraphs against the content-addressed
-cache, fuses compatible siblings onto shared vectorized evaluations,
-and dispatches to a registered executor (NumPy by default, the scalar
-:mod:`repro.core` oracle for reference, a GPU backend as a future
-registry entry).
+The graph layer is the one way to evaluate a request family offline
+(:mod:`repro.graph.families`), and the daemon, the CLI and the
+experiments all route through it: build :class:`Node` objects (one
+builder per family in :mod:`repro.graph.nodes`), hand them to
+:func:`plan` or :func:`evaluate`, and the planner dedups shared
+subgraphs against the content-addressed cache, fuses compatible
+siblings onto shared vectorized evaluations, and dispatches to a
+registered executor (NumPy by default, the scalar :mod:`repro.core`
+oracle for reference).  On the wire the same family travels as one
+JSON request, ``family_for(kind).payload(...)``.
 
 >>> from repro.graph import nodes, evaluate
 >>> from repro.machines.catalog import PAPER_BUS, FLEX32

@@ -24,9 +24,12 @@ here:
 
 The rest is derived from the declaration: the lazy builders in
 :mod:`repro.graph.nodes`, both executors in
-:mod:`repro.graph.executors`, the wire codec in
-:mod:`repro.service.schema`, and the daemon's ``/v1/compute`` kinds.
-A new family is one :func:`register_family` call.
+:mod:`repro.graph.executors`, the wire codec (:meth:`Family.payload`
+and :meth:`Family.parse`), and the daemon's ``/v1/compute`` kinds.  A
+family is evaluated one of two ways: offline, plan its node
+(``graph.evaluate([family.node(...)], cache=...)``); on the wire, send
+its payload (``client.compute(family.payload(...))``).  A new family is
+one :func:`register_family` call.
 """
 
 from __future__ import annotations
@@ -114,6 +117,9 @@ class Param:
     integers: bool = False
     #: Canonical value -> its place in the request and compat tuples.
     key: Callable[[Any], Any] = lambda value: value
+    #: Builder value -> its JSON fields, where it is not one field (a
+    #: shorthand, a composite form); the family's ``unwire`` reads them.
+    to_wire: Callable[[Any], dict[str, Any]] | None = None
 
     @property
     def field(self) -> str:
@@ -131,6 +137,8 @@ class Family:
     #: the axis from the arguments, or ``None`` for a non-fusable leaf.
     axis: str | Callable[[Args], np.ndarray] | None
     #: The cache-request name, or ``(args, axis) ->`` the whole tuple.
+    #: A fingerprint input naming stored entries, not a function: it
+    #: stays fixed when the function it once named is gone.
     request: str | Callable[[Args, Any], tuple]
     #: ``(args, axis) ->`` the ``--explain`` text inside ``op[...]``.
     detail: Callable[[Args, Any], str]
@@ -225,17 +233,23 @@ class Family:
     def payload(self, *args: Any, **kwargs: Any) -> dict[str, Any]:
         """One JSON request: arguments in builder order, wire defaults.
 
-        Machines and stencils go by catalog name.  Nothing is validated
-        here; the daemon does that.
+        Machines and stencils go by catalog name.  The family's own
+        ``unwire`` reads the result back before it is returned, so its
+        bounds refuse a request before anything connects; the daemon
+        validates every value.
         """
         values = self.bind(args, kwargs, wire=True)
         out: dict[str, Any] = {"kind": self.op}
         for p in self.params:
             value = values[p.name]
-            if p.integers and value is not None:
+            if p.to_wire is not None:
+                out.update(p.to_wire(value))
+            elif p.integers and value is not None:
                 out[p.field] = list(map(int, value))
             else:
                 out[p.field] = _json(value)
+        if self.unwire is not None:
+            self.unwire(out)
         return out
 
 
@@ -482,7 +496,12 @@ register_family(
         detail=lambda a, n: f"{_head(a)} n_axis={n.size}",
         numpy=_named("max_useful", analysis._compute_max_useful),
         oracle=_named("max_useful", _oracle_max_useful),
-        doc="Lazy :func:`repro.batch.analysis.max_useful_processors_curve`.",
+        doc="""Lazy maximum useful processors of a bus over a grid-side axis.
+
+    ``N_max = sqrt(E·T·n / (v·k·b))`` for strips, the same ratio to the
+    2/3 power for squares: :func:`repro.core.minimal_size.max_useful_processors`
+    per element, bit for bit.
+    """,
     )
 )
 
@@ -501,7 +520,12 @@ register_family(
         detail=lambda a, p: f"{_head(a)} p_axis={p.size}",
         numpy=_named("n2_min", analysis._compute_minimal_problem_size),
         oracle=_named("n2_min", _oracle_n2_min),
-        doc="Lazy :func:`repro.batch.analysis.minimal_problem_size_curve`.",
+        doc="""Lazy n²_min of a bus over a processor-count axis.
+
+    Figure 7's y-axis before the log, via the closed-form minimal grid
+    side: :func:`repro.core.minimal_size.minimal_problem_size` per
+    element, bit for bit.
+    """,
     )
 )
 
@@ -539,7 +563,13 @@ register_family(
         detail=lambda a, p: f"{_head(a)} e={a['target_efficiency']:g} p_axis={p.size}",
         numpy=_named("sides", analysis._compute_grid_for_efficiency),
         oracle=_named("sides", _oracle_grid_for_efficiency),
-        doc="Lazy :func:`repro.batch.analysis.grid_for_efficiency_curve`.",
+        doc="""Lazy smallest grid side reaching a target efficiency, per processor count.
+
+    The scalar :func:`repro.core.isoefficiency.grid_for_efficiency`
+    search (exponential growth, then bisection) runs for the whole
+    processor axis at once, one frontier evaluation per round; each
+    side matches the scalar search.
+    """,
     )
 )
 
@@ -573,6 +603,21 @@ def _oracle_sweep(spec: SweepSpec, axis: np.ndarray) -> dict[str, np.ndarray]:
     return surfaces
 
 
+def _sweep_to_wire(spec: SweepSpec) -> dict[str, Any]:
+    """A sweep's wire form: its spec's fields, machines by catalog name."""
+    for name, machine in spec.machines:
+        if _machine(name) != machine:
+            raise InvalidParameterError(f"sweep machine {name!r} is not the catalog preset")
+    return {
+        "grid_sides": [int(n) for n in spec.grid_sides],
+        "processors": [float(p) for p in spec.processors],
+        "machines": [name for name, _ in spec.machines],
+        "stencil": spec.stencil.name,
+        "partition": spec.kind.value,
+        "t_flop": float(spec.t_flop),
+    }
+
+
 def _sweep_from_wire(payload: Mapping[str, Any]) -> dict[str, Any]:
     """A sweep travels as catalog machine names; it arrives as one spec."""
     machines = payload.get("machines")
@@ -597,7 +642,7 @@ def _sweep_from_wire(payload: Mapping[str, Any]) -> dict[str, Any]:
 register_family(
     Family(
         op="sweep",
-        params=(Param("spec", lambda spec: spec),),
+        params=(Param("spec", lambda spec: spec, to_wire=_sweep_to_wire),),
         axis=lambda a: np.asarray(a["spec"].grid_sides, dtype=int),
         request="run_sweep",
         compat=lambda a: (
@@ -615,6 +660,14 @@ register_family(
         oracle=_oracle_sweep,
         surface=True,
         unwire=_sweep_from_wire,
+        doc="""Lazy :func:`repro.batch.run_sweep` over a whole :class:`SweepSpec`.
+
+    The node's axis is the spec's grid-side axis: each row of every
+    machine surface depends only on its own ``n``, so compatible sweeps
+    (same processors, machines, stencil, kind, flop time) fuse over the
+    union of their grid-side axes.  On the wire the spec's machines go
+    by catalog name.
+    """,
     )
 )
 
@@ -719,17 +772,27 @@ register_family(
 
 #: The most replicas one ``sim_sweep`` request may name, as a
 #: ``replicas`` count or a ``seeds`` list; checked before any seed list
-#: is built.  The largest caller in the repository asks for 1000.
+#: is built, on every route (node, payload, wire).  The largest caller
+#: in the repository asks for 1000.
 MAX_REPLICAS = 100_000
+
+
+def _check_replicas(count: int) -> None:
+    # MAX_REPLICAS is read per call, so a patched bound applies at once.
+    if count > MAX_REPLICAS:
+        raise InvalidParameterError(f"at most {MAX_REPLICAS} replicas per request, got {count}")
 
 
 def _seeds(values: Any) -> np.ndarray:
     # Seeds stay exact Python ints until the final uint64 cast, and are
     # range-checked first: np.asarray would round a list mixing small
     # ints with values past 2**63 through float64, and the cast would
-    # wrap a negative seed.
+    # wrap a negative seed.  The count is bounded before any list is built.
     try:
+        _check_replicas(len(values))
         seeds = [int(s) for s in values]
+    except InvalidParameterError:
+        raise
     except (TypeError, ValueError):
         raise InvalidParameterError("seeds must be a non-empty 1-D axis of integers") from None
     if not seeds:
@@ -740,18 +803,22 @@ def _seeds(values: Any) -> np.ndarray:
     return np.asarray(seeds, dtype=np.uint64)
 
 
+def _seeds_to_wire(seeds: Any) -> dict[str, Any]:
+    """Consecutive seeds travel as the ``replicas`` + ``seed`` shorthand."""
+    if isinstance(seeds, range) and seeds.step == 1 and len(seeds):
+        return {"replicas": len(seeds), "seed": seeds.start}
+    return {"seeds": list(map(int, seeds))}
+
+
 def _replica_seeds(payload: Mapping[str, Any]) -> Mapping[str, Any]:
     """The ``replicas`` + ``seed`` shorthand for consecutive seeds, bounded."""
     seeds = payload.get("seeds")
     if seeds is not None:
-        if isinstance(seeds, (list, tuple)) and len(seeds) > MAX_REPLICAS:
-            raise InvalidParameterError(
-                f"at most {MAX_REPLICAS} seeds per request, got {len(seeds)}"
-            )
+        if isinstance(seeds, (list, tuple)):
+            _check_replicas(len(seeds))
         return payload
     replicas = _at_least("replicas", 1)(payload.get("replicas", 0))
-    if replicas > MAX_REPLICAS:
-        raise InvalidParameterError(f"at most {MAX_REPLICAS} replicas per request, got {replicas}")
+    _check_replicas(replicas)
     start = _number("seed", int)(payload.get("seed", 0))
     return {**payload, "seeds": range(start, start + replicas)}
 
@@ -798,13 +865,13 @@ register_family(
         params=(
             SIM_MACHINE, SIM_STENCIL, SIM_KIND, N,
             Param("n_processors", _at_least("n_processors", 1)),
-            Param("seeds", _seeds, integers=True),
+            Param("seeds", _seeds, integers=True, to_wire=_seeds_to_wire),
             T_FLOP, MODE,
             Param("jitter", _number("jitter", float), 0.0, key=_float_tag),
         ),
         axis="seeds",
-        # The offline cached path's request, so graph stores and
-        # simulate_replicas_cached stores share entries.
+        # The replica batch's own request, so a store keyed by
+        # replica_request serves this node too.
         request=lambda a, seeds: replica_request(_replica_spec(**a, seeds=seeds)),
         detail=lambda a, s: (
             f"{_head(a)} n={a['n']} p={a['n_processors']} "

@@ -13,9 +13,9 @@ Two node classes exist:
   axis its result is elementwise in (grid sides for allocation curves,
   processor counts for isoefficiency searches, …).  Each family is
   declared once in :mod:`repro.graph.families`, and its builder here is
-  derived from that declaration.  Leaves carry the *same* cache-request
-  tuple the eager analysis layer has always used, so graph-planned
-  results and pre-graph cache stores share entries, plus a
+  derived from that declaration.  Leaves carry the family's
+  cache-request tuple, unchanged since the pre-graph analysis layer, so
+  every store written since then keeps serving, plus a
   *compatibility* fingerprint: two leaves with equal ``compat`` differ
   only in their axis and may be fused onto one vectorized evaluation
   over the union axis.
@@ -39,7 +39,6 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from repro.batch.cache import fingerprint
-from repro.batch.engine import SweepSpec
 from repro.core.parameters import DEFAULT_T_FLOP
 from repro.errors import InvalidParameterError
 from repro.graph.families import REQUIRED, family_for, machine_label
@@ -81,7 +80,7 @@ class Node:
     #: Evaluation arguments for the executors (machine/stencil objects,
     #: scalars) — everything but the axis.
     args: Mapping[str, Any]
-    #: The cache-request tuple (exactly the eager layer's), or ``None``
+    #: The cache-request tuple (the family's), or ``None``
     #: for reductions, which are never cached.
     request: tuple | None = None
     #: Fusion-compatibility fingerprint: nodes sharing it differ only in
@@ -155,17 +154,7 @@ grid_for_efficiency = _publish("grid_for_efficiency", "grid_for_efficiency")
 capacity_plan = _publish("capacity_plan", "plan")
 sim_sweep = _publish("sim_sweep", "sim_sweep")
 sim_validate = _publish("sim_validate", "sim_validate")
-
-
-def sweep(spec: SweepSpec) -> Node:
-    """Lazy :func:`repro.batch.run_sweep` over a whole :class:`SweepSpec`.
-
-    The node's axis is the spec's grid-side axis: each row of every
-    machine surface depends only on its own ``n``, so compatible sweeps
-    (same processors, machines, stencil, kind, flop time) fuse over the
-    union of their grid-side axes.
-    """
-    return family_for("sweep").node(spec)
+sweep = _publish("sweep", "sweep")
 
 
 def build(op: str, args: Mapping[str, Any]) -> Node:

@@ -8,8 +8,7 @@ requests and produces an executable :class:`Plan` in three passes:
    allocation curve requested twice in one batch, becomes one node.
 2. **cache probe** — each unique cacheable leaf gets exactly one
    :meth:`~repro.batch.SweepCache.lookup_level`, so hit/miss totals
-   match the eager layer request for request (the parity the experiment
-   reports depend on).
+   count requests, not fused evaluations.
 3. **fuse** — uncached leaves with equal compatibility fingerprints
    (same family, machine closed form, stencil, kind, scalars — only the
    axis differs) are grouped onto one vectorized evaluation over the
@@ -209,27 +208,40 @@ def _union_axis(nodes: Sequence[Node]) -> np.ndarray:
     return np.unique(np.concatenate([n.axis for n in nodes]))
 
 
-def _reduce(node: Node, children: list[Any]) -> Any:
-    """Fold one reduction node over its children's results.
+def _speedup_quotient(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> np.ndarray:
+    """The ``ratio`` reduction: curve A's optimal speedup over curve B's.
 
-    Transcribes the eager analysis layer's post-processing exactly, so
-    reductions over graph-served leaves are bit-identical to the old
-    call chains.
+    Over two allocation curves, the vectorized
+    :func:`repro.core.crossover.speedup_ratio` (A/B > 1 ⇒ A wins) and
+    :func:`repro.core.crossover.strip_square_ratio` (< 1 ⇒ squares win),
+    bit for bit.
     """
+    return a["speedup"] / b["speedup"]
+
+
+def _fit_isoefficiency(sides: np.ndarray, processor_counts: Sequence[int]) -> IsoefficiencyFit:
+    """The ``isoefficiency_fit`` reduction: the n² growth exponent in N.
+
+    Over a grid-for-efficiency curve, the batched
+    :func:`repro.core.isoefficiency.isoefficiency_exponent`: same
+    least-squares fit, same grid sides.
+    """
+    log_n2 = np.log([float(s) * s for s in sides])
+    log_p = np.log(np.asarray(processor_counts, dtype=float))
+    slope = float(np.polyfit(log_p, log_n2, 1)[0])
+    return IsoefficiencyFit(
+        exponent=slope,
+        processors=tuple(int(pc) for pc in processor_counts),
+        problem_sizes=tuple(int(s) for s in sides),
+    )
+
+
+def _reduce(node: Node, children: list[Any]) -> Any:
+    """Fold one reduction node over its children's results."""
     if node.op == "ratio":
-        a, b = children
-        return a["speedup"] / b["speedup"]
+        return _speedup_quotient(*children)
     if node.op == "isoefficiency_fit":
-        sides = children[0]["sides"]
-        processor_counts = node.args["processor_counts"]
-        log_n2 = np.log([float(s) * s for s in sides])
-        log_p = np.log(np.asarray(processor_counts, dtype=float))
-        slope = float(np.polyfit(log_p, log_n2, 1)[0])
-        return IsoefficiencyFit(
-            exponent=slope,
-            processors=tuple(int(pc) for pc in processor_counts),
-            problem_sizes=tuple(int(s) for s in sides),
-        )
+        return _fit_isoefficiency(children[0]["sides"], node.args["processor_counts"])
     raise InvalidParameterError(f"unknown reduction op {node.op!r}")
 
 

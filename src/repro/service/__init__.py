@@ -17,9 +17,10 @@ function over HTTP with nothing beyond the standard library:
   ``asyncio`` event loop: thousands of idle keep-alive connections
   without per-connection threads, HTTP/1.1 pipelining with in-order
   responses and read backpressure, compute on a bounded thread pool.
-* :class:`ServiceClient` — typed requests (allocation curves, capacity
-  plans, raw sweeps) with exact ``float`` round-tripping, so a curve
-  fetched from the daemon equals the offline computation byte for byte.
+* :class:`ServiceClient` — family requests
+  (``client.compute(family_for(kind).payload(...))``) with exact
+  ``float`` round-tripping, so a curve fetched from the daemon equals
+  the offline computation byte for byte.
   Every request, pipelined or not, takes one raw-socket HTTP/1.1 path
   over a thread-safe keep-alive connection pool, with stale-socket
   replay and bounded exponential-backoff retry; arrays travel
@@ -35,10 +36,13 @@ Usage::
     #       --max-cache-mb 64
     from repro.service import ServiceClient
 
+    from repro.graph.families import family_for
+
     client = ServiceClient("http://127.0.0.1:8733")
     curve = client.allocation_curve(
         "paper-bus", "5-point", "square", range(64, 4096, 64), integer=True
     )
+    plan = client.compute(family_for("plan").payload("paper-bus", 256))
 
 The server answers from the shared cache whenever it can; the
 response's ``served`` field says how (``memory``/``disk``/``coalesced``

@@ -2,8 +2,12 @@
 
 :class:`ServiceClient` wraps the daemon's HTTP surface with exact array
 round-tripping.  Its one way to ask for a result is a family request
-(:mod:`repro.graph.families`) posted to ``/v1/compute``; ``/healthz``
-and ``/v1/stats`` are the only other routes.
+(:mod:`repro.graph.families`) posted to ``/v1/compute``:
+``client.compute(family_for(kind).payload(...))``, or many at once
+through :meth:`ServiceClient.compute_many`.  ``/healthz`` and
+``/v1/stats`` are the only other routes, both bodiless GETs.
+:meth:`ServiceClient.allocation_curve` returns the allocation family's
+result as an :class:`~repro.batch.AllocationCurve`.
 
 Transport: every request — one compute, a pipelined batch, ``/healthz``,
 ``/v1/stats`` — is written as raw HTTP/1.1 bytes to a keep-alive socket (Nagle off) from a thread-safe pool, and its reply
@@ -55,13 +59,7 @@ from repro.service.frame import (
     FrameError,
     decode_frame,
 )
-from repro.service.schema import (
-    allocation_payload,
-    plan_payload,
-    sim_sweep_payload,
-    sim_validate_payload,
-    sweep_payload,
-)
+from repro.service.schema import allocation_payload
 
 __all__ = ["ServiceClient", "ServiceError"]
 
@@ -415,13 +413,9 @@ class ServiceClient:
             )
         return dict(decoded)
 
-    def _json(
-        self, path: str, payload: Mapping[str, Any] | None = None, method: str = "GET"
-    ) -> dict[str, Any]:
-        data = None if payload is None else json.dumps(payload).encode()
-        status, _ctype, body = self._request(
-            path, data, method=method, content_type="application/json"
-        )
+    def _json(self, path: str) -> dict[str, Any]:
+        """``GET path``, bodiless, and its JSON reply."""
+        status, _ctype, body = self._request(path)
         return self._parse_json(status, body, path)
 
     # ------------------------------------------------------------ endpoints
@@ -518,65 +512,3 @@ class ServiceClient:
             )
         )
         return AllocationCurve.from_arrays(arrays, PartitionKind(kind))
-
-    def plan(self, machine: str, n: int, grid: Any | None = None) -> dict[str, np.ndarray]:
-        return self.compute(plan_payload(machine, n, grid))
-
-    def sweep(
-        self,
-        grid_sides: Any,
-        processors: Any,
-        machines: Any,
-        stencil: str = "5-point",
-        kind: str = "square",
-        t_flop: float = DEFAULT_T_FLOP,
-    ) -> dict[str, np.ndarray]:
-        """Cycle-time surfaces by machine name (one array per machine)."""
-        return self.compute(
-            sweep_payload(grid_sides, processors, machines, stencil, kind, t_flop)
-        )
-
-    def sim_sweep(
-        self,
-        machine: str,
-        n: int,
-        n_processors: int,
-        stencil: str = "5-point",
-        kind: str = "square",
-        *,
-        seeds: Any | None = None,
-        replicas: int | None = None,
-        seed: int = 0,
-        t_flop: float = DEFAULT_T_FLOP,
-        mode: str = "barrier",
-        jitter: float = 0.0,
-    ) -> dict[str, np.ndarray]:
-        """Daemon-served replica batch: per-seed cycle times, bit-exact.
-
-        Pass an explicit ``seeds`` list, or the ``replicas``/``seed``
-        shorthand for consecutive seeds — the same ensemble the offline
-        :func:`repro.batch.sim.simulate_replicas` produces, byte for
-        byte.
-        """
-        return self.compute(
-            sim_sweep_payload(
-                machine, n, n_processors, stencil, kind,
-                seeds=seeds, replicas=replicas, seed=seed,
-                t_flop=t_flop, mode=mode, jitter=jitter,
-            )
-        )
-
-    def sim_validate(
-        self,
-        machine: str,
-        n: int,
-        processors: Any,
-        stencil: str = "5-point",
-        kind: str = "square",
-        t_flop: float = DEFAULT_T_FLOP,
-        mode: str = "barrier",
-    ) -> dict[str, np.ndarray]:
-        """Daemon-served validation sweep: analytic vs simulated columns."""
-        return self.compute(
-            sim_validate_payload(machine, n, processors, stencil, kind, t_flop, mode)
-        )

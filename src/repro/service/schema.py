@@ -8,8 +8,11 @@ cache stores.  Results travel as binary frames
 (:mod:`repro.service.frame`): raw little-endian bytes plus dtype and
 shape, so every float crosses the wire bit for bit.  This module holds
 the JSON side: the envelopes for errors, ``/healthz`` and ``/v1/stats``,
-and each family's request parser and payload builder — both derived
-from the family's declaration, which names every wire field once.
+and :func:`parse_request`.  Each family builds and parses its own
+requests (:meth:`~repro.graph.families.Family.payload`,
+:meth:`~repro.graph.families.Family.parse`) from its declaration,
+which names every wire field once; a client sends
+``family_for(kind).payload(...)``.
 
 Machines and stencils are referenced *by catalog name*.  The server
 resolves them against the same :data:`repro.machines.catalog.DEFAULT_MACHINES`
@@ -31,16 +34,8 @@ __all__ = [
     "json_body",
     "error_body",
     "allocation_payload",
-    "plan_payload",
-    "sweep_payload",
-    "sim_sweep_payload",
-    "sim_validate_payload",
     "parse_request",
     "parse_allocation",
-    "parse_plan",
-    "parse_sweep",
-    "parse_sim_sweep",
-    "parse_sim_validate",
 ]
 
 
@@ -80,10 +75,6 @@ def _parser(name: str, op: str) -> Callable[[Mapping[str, Any]], dict[str, Any]]
 
 
 parse_allocation = _parser("parse_allocation", "allocation_curve")
-parse_plan = _parser("parse_plan", "plan")
-parse_sweep = _parser("parse_sweep", "sweep")
-parse_sim_sweep = _parser("parse_sim_sweep", "sim_sweep")
-parse_sim_validate = _parser("parse_sim_validate", "sim_validate")
 
 
 def parse_request(payload: Any) -> tuple[Family, dict[str, Any]]:
@@ -119,75 +110,4 @@ def allocation_payload(
 ) -> dict[str, Any]:
     return family_for("allocation_curve").payload(
         machine, stencil, kind, grid_sides, t_flop, max_processors, integer
-    )
-
-
-def plan_payload(machine: str, n: int, grid: Any | None = None) -> dict[str, Any]:
-    return family_for("plan").payload(machine, n, grid)
-
-
-def sweep_payload(
-    grid_sides: Any,
-    processors: Any,
-    machines: Any,
-    stencil: str = "5-point",
-    kind: str = "square",
-    t_flop: float = DEFAULT_T_FLOP,
-) -> dict[str, Any]:
-    # A sweep's wire form is its spec's fields with catalog machine names.
-    return {
-        "kind": "sweep",
-        "grid_sides": list(map(int, grid_sides)),
-        "processors": [float(p) for p in processors],
-        "machines": list(machines),
-        "stencil": stencil,
-        "partition": kind,
-        "t_flop": float(t_flop),
-    }
-
-
-def sim_sweep_payload(
-    machine: str,
-    n: int,
-    n_processors: int,
-    stencil: str = "5-point",
-    kind: str = "square",
-    *,
-    seeds: Any | None = None,
-    replicas: int | None = None,
-    seed: int = 0,
-    t_flop: float = DEFAULT_T_FLOP,
-    mode: str = "barrier",
-    jitter: float = 0.0,
-) -> dict[str, Any]:
-    """A batched replica-simulation request.
-
-    Randomness travels either as an explicit ``seeds`` list or as the
-    ``replicas`` + ``seed`` shorthand (consecutive seeds starting at
-    ``seed``) — the counter RNG has no other state, so the request
-    names the whole ensemble deterministically.
-    """
-    payload = family_for("sim_sweep").payload(
-        machine=machine, stencil=stencil, kind=kind, n=n, n_processors=n_processors,
-        seeds=seeds, t_flop=t_flop, mode=mode, jitter=jitter,
-    )
-    if seeds is None:
-        del payload["seeds"]
-        payload.update(replicas=1 if replicas is None else int(replicas), seed=int(seed))
-    return payload
-
-
-def sim_validate_payload(
-    machine: str,
-    n: int,
-    processors: Any,
-    stencil: str = "5-point",
-    kind: str = "square",
-    t_flop: float = DEFAULT_T_FLOP,
-    mode: str = "barrier",
-) -> dict[str, Any]:
-    """A model-vs-simulation validation sweep over processor counts."""
-    return family_for("sim_validate").payload(
-        machine=machine, stencil=stencil, kind=kind, n=n, processor_counts=processors,
-        t_flop=t_flop, mode=mode,
     )

@@ -6,6 +6,13 @@ exponents agree with the scalar :mod:`repro.core` routines bit for bit
 (the transcriptions reuse the same floating-point operations in the
 same order) across all four machine families, both partition kinds,
 and both stencils.
+
+Each family is evaluated the one offline way, as a graph node planned
+on the NumPy executor, so these sweeps pin the parity twins that
+executor runs: the kernels ``_compute_max_useful``,
+``_compute_minimal_problem_size`` and ``_compute_grid_for_efficiency``,
+and the planner's reductions ``_speedup_quotient`` (both ratios) and
+``_fit_isoefficiency``.
 """
 
 import zlib
@@ -15,15 +22,9 @@ import pytest
 
 from repro.batch import (
     find_crossover_grid_size_batch,
-    grid_for_efficiency_curve,
-    isoefficiency_exponent_grid,
-    max_useful_processors_curve,
-    minimal_problem_size_curve,
     optimal_allocation_curve,
     scaled_speedup_banyan_curve,
     scaled_speedup_hypercube_curve,
-    speedup_ratio_curve,
-    strip_square_ratio_curve,
 )
 from repro.core.allocation import optimize_allocation
 from repro.core.crossover import (
@@ -36,6 +37,7 @@ from repro.core.minimal_size import max_useful_processors, minimal_problem_size
 from repro.core.parameters import Workload
 from repro.core.scaling import scaled_speedup_banyan, scaled_speedup_hypercube
 from repro.errors import InvalidParameterError
+from repro.graph import evaluate, nodes
 from repro.machines.bus import BusArchitecture
 from repro.machines.catalog import (
     BBN_BUTTERFLY,
@@ -49,6 +51,11 @@ from repro.stencils.perimeter import PartitionKind
 MACHINE_ITEMS = sorted(DEFAULT_MACHINES.items())
 BUS_ITEMS = [(n, m) for n, m in MACHINE_ITEMS if isinstance(m, BusArchitecture)]
 STENCILS = [FIVE_POINT, NINE_POINT_BOX]
+
+
+def _evaluate(node):
+    """One family node planned on the NumPy executor."""
+    return evaluate([node])[0]
 
 
 def _sides(seed_key, lo=4, hi=4000, size=10):
@@ -136,7 +143,7 @@ class TestMinimalSizeCurves:
     @pytest.mark.parametrize("stencil", STENCILS)
     def test_max_useful_processors(self, name, machine, kind, stencil):
         sides = _sides(("mup", name, kind.value, stencil.name), lo=16, hi=5000)
-        curve = max_useful_processors_curve(machine, stencil, kind, sides)
+        curve = _evaluate(nodes.max_useful_processors(machine, stencil, kind, sides))["max_useful"]
         for i, n in enumerate(sides):
             scalar = max_useful_processors(
                 machine, Workload(n=n, stencil=stencil), kind
@@ -148,7 +155,7 @@ class TestMinimalSizeCurves:
     @pytest.mark.parametrize("stencil", STENCILS)
     def test_minimal_problem_size(self, name, machine, kind, stencil):
         procs = [2, 3, 7, 14, 22, 30, 64]
-        curve = minimal_problem_size_curve(machine, stencil, kind, procs)
+        curve = _evaluate(nodes.minimal_problem_size(machine, stencil, kind, procs))["n2_min"]
         for i, p in enumerate(procs):
             scalar = minimal_problem_size(
                 machine, Workload(n=2, stencil=stencil), kind, p
@@ -164,7 +171,7 @@ class TestCrossoverBatch:
             )
 
         def batch_metric(ns: np.ndarray) -> np.ndarray:
-            return 1.0 / strip_square_ratio_curve(PAPER_BUS, FIVE_POINT, ns)
+            return 1.0 / _evaluate(nodes.strip_square_ratio(PAPER_BUS, FIVE_POINT, ns))
 
         for threshold in (1.5, 2.0, 3.0):
             scalar = find_crossover_grid_size(scalar_metric, threshold=threshold)
@@ -177,7 +184,7 @@ class TestCrossoverBatch:
         cube = DEFAULT_MACHINES["ipsc"]
         net = DEFAULT_MACHINES["butterfly"]
         sides = _sides("ratio", lo=32, hi=3000)
-        curve = speedup_ratio_curve(cube, net, FIVE_POINT, PartitionKind.SQUARE, sides)
+        curve = _evaluate(nodes.speedup_ratio(cube, net, FIVE_POINT, PartitionKind.SQUARE, sides))
         for i, n in enumerate(sides):
             scalar = speedup_ratio(
                 cube, net, Workload(n=n, stencil=FIVE_POINT), PartitionKind.SQUARE
@@ -206,7 +213,7 @@ class TestIsoefficiencyGrid:
     @pytest.mark.parametrize("target", [0.3, 0.5, 0.8])
     def test_grid_sides_match_scalar(self, machine, kind, target):
         procs = [4, 8, 16, 32, 64]
-        batch = grid_for_efficiency_curve(machine, FIVE_POINT, kind, procs, target)
+        batch = _evaluate(nodes.grid_for_efficiency(machine, FIVE_POINT, kind, procs, target))["sides"]
         for i, p in enumerate(procs):
             scalar = grid_for_efficiency(
                 machine, Workload(n=16, stencil=FIVE_POINT), kind, p, target
@@ -216,7 +223,7 @@ class TestIsoefficiencyGrid:
     @pytest.mark.parametrize("machine,kind", CONFIGS)
     def test_exponent_matches_scalar(self, machine, kind):
         procs = [4, 8, 16, 32, 64]
-        batch = isoefficiency_exponent_grid(machine, FIVE_POINT, kind, procs, 0.5)
+        batch = _evaluate(nodes.isoefficiency_fit(machine, FIVE_POINT, kind, procs, 0.5))
         scalar = isoefficiency_exponent(
             machine, Workload(n=16, stencil=FIVE_POINT), kind, procs, 0.5
         )
@@ -226,28 +233,22 @@ class TestIsoefficiencyGrid:
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            grid_for_efficiency_curve(
-                PAPER_BUS, FIVE_POINT, PartitionKind.SQUARE, [4], 1.5
-            )
+            nodes.grid_for_efficiency(PAPER_BUS, FIVE_POINT, PartitionKind.SQUARE, [4], 1.5)
         with pytest.raises(InvalidParameterError):
-            grid_for_efficiency_curve(
-                PAPER_BUS, FIVE_POINT, PartitionKind.SQUARE, [1], 0.5
-            )
+            nodes.grid_for_efficiency(PAPER_BUS, FIVE_POINT, PartitionKind.SQUARE, [1], 0.5)
         with pytest.raises(InvalidParameterError):
-            isoefficiency_exponent_grid(
-                PAPER_BUS, FIVE_POINT, PartitionKind.SQUARE, [4], 0.5
-            )
+            nodes.isoefficiency_fit(PAPER_BUS, FIVE_POINT, PartitionKind.SQUARE, [4], 0.5)
 
     def test_unreachable_efficiency_raises(self):
         with pytest.raises(InvalidParameterError, match="no grid up to"):
-            grid_for_efficiency_curve(
+            _evaluate(nodes.grid_for_efficiency(
                 PAPER_BUS,
                 FIVE_POINT,
                 PartitionKind.STRIP,
                 [4, 4096],
                 0.9,
                 n_max=1 << 12,
-            )
+            ))
 
 
 class TestScaledCurves:

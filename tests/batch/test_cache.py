@@ -15,21 +15,16 @@ from repro.batch import (
     SweepCache,
     SweepSpec,
     fingerprint,
-    grid_for_efficiency_curve,
-    isoefficiency_exponent_grid,
-    max_useful_processors_curve,
-    minimal_problem_size_curve,
     optimal_allocation_curve,
-    speedup_ratio_curve,
-    strip_square_ratio_curve,
 )
 from repro.batch.cache import _MEMO_ATTR, _canonical
 from repro.batch.analysis import AllocationCurve, _compute_allocation_curve
 from repro.batch.frame import decode_frame, frame_bytes
-from repro.batch.sim import ReplicaBatchSpec, simulate_replicas_cached
+from repro.batch.sim import ReplicaBatchSpec
 from repro.core.parameters import DEFAULT_T_FLOP
 from repro.errors import InvalidParameterError
 from repro.machines.bus import AsynchronousBus, SynchronousBus
+from repro.graph import evaluate as graph_evaluate
 from repro.graph import nodes as graph_nodes
 from repro.machines.catalog import DEFAULT_MACHINES, PAPER_BUS, PAPER_BUS_ASYNC
 from repro.stencils.library import ALL_STENCILS, FIVE_POINT, NINE_POINT_BOX
@@ -256,18 +251,28 @@ def _family_nodes():
 
 
 def _wire_payloads():
-    from repro.service import schema
+    from repro.graph.families import family_for
+
+    def payload(op, *args, **kwargs):
+        return family_for(op).payload(*args, **kwargs)
 
     return {
-        "allocation_curve": schema.allocation_payload(
-            "ipsc", "9-point-box", "strip", [64, 128, 256], integer=True
+        "allocation_curve": payload(
+            "allocation_curve", "ipsc", "9-point-box", "strip", [64, 128, 256], integer=True
         ),
-        "plan": schema.plan_payload("paper-bus", 256),
-        "plan_grid": schema.plan_payload("paper-bus", 256, [8, 16, 32]),
-        "sweep": schema.sweep_payload([64, 128, 256], [1, 4, 16], ["paper-bus", "flex32"]),
-        "sim_sweep": schema.sim_sweep_payload("paper-bus", 32, 4, replicas=8, jitter=0.1),
-        "sim_seeds": schema.sim_sweep_payload("paper-bus", 32, 4, seeds=[5, 2**64 - 1]),
-        "sim_validate": schema.sim_validate_payload("ipsc", 24, [1, 2, 4, 8]),
+        "plan": payload("plan", "paper-bus", 256),
+        "plan_grid": payload("plan", "paper-bus", 256, [8, 16, 32]),
+        "sweep": payload(
+            "sweep",
+            SweepSpec.across_catalog([64, 128, 256], [1, 4, 16], machines=["paper-bus", "flex32"]),
+        ),
+        "sim_sweep": payload(
+            "sim_sweep", machine="paper-bus", n=32, n_processors=4, seeds=range(8), jitter=0.1
+        ),
+        "sim_seeds": payload(
+            "sim_sweep", machine="paper-bus", n=32, n_processors=4, seeds=[5, 2**64 - 1]
+        ),
+        "sim_validate": payload("sim_validate", "ipsc", n=24, processor_counts=[1, 2, 4, 8]),
     }
 
 
@@ -713,6 +718,8 @@ class TestCacheStatsMerge:
 
 def _as_arrays(value):
     """Any analysis result as a dict of arrays, for exact comparison."""
+    if isinstance(value, dict):
+        return value
     if hasattr(value, "to_arrays"):
         return value.to_arrays()
     if dataclasses.is_dataclass(value):
@@ -720,37 +727,43 @@ def _as_arrays(value):
     return {"value": np.asarray(value)}
 
 
-# Every analysis entry point that takes a ``cache=``, on small inputs.
+def _planned(build):
+    """An entry point that plans one node: ``evaluate([build()], cache=cache)``."""
+    return lambda cache: graph_evaluate([build()], cache=cache)[0]
+
+
+# Every analysis entry point that takes a ``cache=``, on small inputs:
+# the allocation curve, and each family node planned through the graph.
 CACHED_ENTRY_POINTS = {
     "optimal_allocation_curve": lambda cache: optimal_allocation_curve(
         PAPER_BUS, FIVE_POINT, SQUARE, SIDES, integer=True, cache=cache
     ),
-    "max_useful_processors_curve": lambda cache: max_useful_processors_curve(
-        PAPER_BUS, FIVE_POINT, SQUARE, SIDES, cache=cache
+    "max_useful_processors": _planned(
+        lambda: graph_nodes.max_useful_processors(PAPER_BUS, FIVE_POINT, SQUARE, SIDES)
     ),
-    "minimal_problem_size_curve": lambda cache: minimal_problem_size_curve(
-        PAPER_BUS, FIVE_POINT, SQUARE, [4, 16, 64], cache=cache
+    "minimal_problem_size": _planned(
+        lambda: graph_nodes.minimal_problem_size(PAPER_BUS, FIVE_POINT, SQUARE, [4, 16, 64])
     ),
-    "speedup_ratio_curve": lambda cache: speedup_ratio_curve(
-        DEFAULT_MACHINES["ipsc"],
-        DEFAULT_MACHINES["butterfly"],
-        FIVE_POINT,
-        SQUARE,
-        SIDES,
-        cache=cache,
+    "speedup_ratio": _planned(
+        lambda: graph_nodes.speedup_ratio(
+            DEFAULT_MACHINES["ipsc"], DEFAULT_MACHINES["butterfly"], FIVE_POINT, SQUARE, SIDES
+        )
     ),
-    "strip_square_ratio_curve": lambda cache: strip_square_ratio_curve(
-        PAPER_BUS, FIVE_POINT, SIDES, cache=cache
+    "strip_square_ratio": _planned(
+        lambda: graph_nodes.strip_square_ratio(PAPER_BUS, FIVE_POINT, SIDES)
     ),
-    "grid_for_efficiency_curve": lambda cache: grid_for_efficiency_curve(
-        DEFAULT_MACHINES["ipsc"], FIVE_POINT, SQUARE, [4, 16], 0.5, cache=cache
+    "grid_for_efficiency": _planned(
+        lambda: graph_nodes.grid_for_efficiency(
+            DEFAULT_MACHINES["ipsc"], FIVE_POINT, SQUARE, [4, 16], 0.5
+        )
     ),
-    "isoefficiency_exponent_grid": lambda cache: isoefficiency_exponent_grid(
-        DEFAULT_MACHINES["ipsc"], FIVE_POINT, SQUARE, [4, 16, 64], 0.5, cache=cache
+    "isoefficiency_fit": _planned(
+        lambda: graph_nodes.isoefficiency_fit(
+            DEFAULT_MACHINES["ipsc"], FIVE_POINT, SQUARE, [4, 16, 64], 0.5
+        )
     ),
-    "simulate_replicas_cached": lambda cache: simulate_replicas_cached(
-        ReplicaBatchSpec.monte_carlo(PAPER_BUS, FIVE_POINT, SQUARE, 16, 4, 3),
-        cache=cache,
+    "sim_sweep": _planned(
+        lambda: graph_nodes.sim_sweep(PAPER_BUS, FIVE_POINT, SQUARE, 16, 4, range(3))
     ),
 }
 

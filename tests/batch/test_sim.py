@@ -20,7 +20,6 @@ from repro.batch.sim import (
     machine_sim_tag,
     replica_request,
     simulate_replicas,
-    simulate_replicas_cached,
 )
 from repro.errors import InvalidParameterError
 from repro.machines.bus import SynchronousBus
@@ -233,6 +232,17 @@ class TestFingerprints:
         assert rw_t[0] != ro_t[0]
 
 
+def _served(spec: ReplicaBatchSpec, cache: SweepCache) -> dict:
+    """One-configuration ``spec`` through its ``sim_sweep`` node and ``cache``."""
+    from repro.graph import evaluate, nodes
+
+    node = nodes.sim_sweep(
+        spec.machine, spec.stencil, spec.kind, spec.grid_sides[0], spec.processors[0],
+        spec.seeds, t_flop=spec.t_flop, mode=spec.mode, jitter=spec.jitter,
+    )
+    return evaluate([node], cache=cache)[0]
+
+
 class TestCachedPath:
     def test_cache_round_trip_is_bit_exact(self, tmp_path):
         cache = SweepCache(cache_dir=tmp_path)
@@ -240,10 +250,10 @@ class TestCachedPath:
             DEFAULT_MACHINES["butterfly"], FIVE_POINT, PartitionKind.SQUARE,
             16, 4, 10, jitter=0.05,
         )
-        cold = simulate_replicas_cached(spec, cache=cache)
-        warm = simulate_replicas_cached(spec, cache=cache)
-        np.testing.assert_array_equal(cold.cycle_times, warm.cycle_times)
-        np.testing.assert_array_equal(cold.seeds, warm.seeds)
+        cold = _served(spec, cache)
+        warm = _served(spec, cache)
+        np.testing.assert_array_equal(cold["cycle_times"], warm["cycle_times"])
+        np.testing.assert_array_equal(cold["seeds"], warm["seeds"])
         stats = cache.stats_snapshot()
         assert stats["memory_hits"] + stats["disk_hits"] >= 1
 
@@ -253,9 +263,9 @@ class TestCachedPath:
             DEFAULT_MACHINES["paper-bus"], FIVE_POINT, PartitionKind.SQUARE,
             16, 4, 5, jitter=j,
         )
-        a = simulate_replicas_cached(mk(0.0), cache=cache)
-        b = simulate_replicas_cached(mk(0.2), cache=cache)
-        assert not np.array_equal(a.cycle_times, b.cycle_times)
+        a = _served(mk(0.0), cache)
+        b = _served(mk(0.2), cache)
+        assert not np.array_equal(a["cycle_times"], b["cycle_times"])
 
 
 class TestKernelsAgainstEventLevel:

@@ -79,6 +79,84 @@ def test_plan_with_a_grid_equals_the_oracle_bit_for_bit():
     assert not node.is_fusable
 
 
+#: Builder arguments per built-in family, machines and stencils by
+#: catalog name: every wire form each family sends.
+WIRE_ARGS = {
+    "allocation_curve": [
+        dict(machine="flex32", stencil="9-point-box", kind="strip",
+             grid_sides=[8, 64, 300], max_processors=16.0, integer=True),
+    ],
+    "max_useful": [
+        dict(machine="paper-bus", stencil="5-point", kind="square", grid_sides=[16, 256]),
+    ],
+    "n2_min": [
+        dict(machine="flex32", stencil="9-point-box", kind="strip", n_processors=[2, 16, 77]),
+    ],
+    "grid_for_efficiency": [
+        dict(machine="paper-bus", stencil="5-point", kind="square",
+             processor_counts=[2, 8, 32], target_efficiency=0.6),
+    ],
+    "sweep": [
+        dict(spec=SweepSpec.across_catalog([32, 100], [1, 4, 9], machines=["ipsc", "flex32"])),
+    ],
+    "plan": [dict(machine="paper-bus", n=256), dict(machine="flex32", n=64, grid=[2, 4, 8])],
+    "sim_sweep": [
+        # A unit-step range travels as the replicas + seed shorthand ...
+        dict(machine="paper-bus", stencil="5-point", kind="square", n=24, n_processors=4,
+             seeds=range(3, 10), jitter=0.2),
+        # ... any other seed axis as an explicit list.
+        dict(machine="paper-bus", stencil="5-point", kind="square", n=24, n_processors=4,
+             seeds=[0, 7, 2**64 - 1], mode="pipelined"),
+    ],
+    "sim_validate": [
+        dict(machine="ipsc", stencil="5-point", kind="strip", n=24,
+             processor_counts=[1, 2, 4, 8]),
+    ],
+}
+
+
+@pytest.mark.parametrize("op", kinds())
+def test_payload_parses_back_to_the_same_node(op):
+    assert op in WIRE_ARGS, f"family {op!r} has no wire arguments here"
+    family = family_for(op)
+    for args in WIRE_ARGS[op]:
+        payload = family.payload(**args)
+        json.dumps(payload)  # the payload is plain JSON
+        assert family.node(**family.parse(payload)).key == family.node(**args).key
+
+
+def test_consecutive_seeds_travel_as_the_shorthand():
+    sim = family_for("sim_sweep")
+    args = dict(machine="paper-bus", n=24, n_processors=4)
+    shorthand = sim.payload(**args, seeds=range(5, 100_005))
+    assert (shorthand["replicas"], shorthand["seed"]) == (100_000, 5)
+    assert "seeds" not in shorthand
+    assert sim.payload(**args, seeds=range(0, 10, 2))["seeds"] == [0, 2, 4, 6, 8]
+
+
+def test_a_sweep_travels_only_with_catalog_machines():
+    from repro.machines.bus import SynchronousBus
+
+    sweep = family_for("sweep")
+    custom = SynchronousBus(b=1e-6, c=0.0)
+    for machines in ({"paper-bus": custom}, {"my-bus": custom}):
+        spec = SweepSpec.across_catalog([64], [1, 4], machines=machines)
+        with pytest.raises(InvalidParameterError, match="catalog preset|unknown machine"):
+            sweep.payload(spec)
+
+
+def test_payload_refuses_too_many_replicas_before_anything_is_sent(monkeypatch):
+    monkeypatch.setattr(families, "MAX_REPLICAS", 4)
+    sim = family_for("sim_sweep")
+    args = dict(machine="paper-bus", n=24, n_processors=4)
+    assert sim.payload(**args, seeds=range(4))["replicas"] == 4
+    for seeds in (range(5), [0, 1, 2, 3, 9]):
+        with pytest.raises(InvalidParameterError, match="at most 4 replicas"):
+            sim.payload(**args, seeds=seeds)
+        with pytest.raises(InvalidParameterError, match="at most 4 replicas"):
+            nodes.sim_sweep(PAPER_BUS, FIVE_POINT, SQUARE, 24, 4, seeds)
+
+
 def test_unknown_ops_are_rejected_by_both_executors():
     for executor in (NumpyExecutor(), OracleExecutor()):
         with pytest.raises(InvalidParameterError, match="unknown request kind"):

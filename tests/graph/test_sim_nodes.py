@@ -3,15 +3,15 @@
 The graph layer's contract extends to the simulation families:
 ``sim_sweep``/``sim_validate`` planned and executed through either
 backend equal the scalar oracle bit for bit, fused sibling slices equal
-solo evaluations exactly, and graph stores share cache entries with the
-offline :func:`repro.batch.sim.simulate_replicas_cached` path.
+solo evaluations exactly, and a ``sim_sweep`` node shares its cache
+entry with any store keyed by :func:`repro.batch.sim.replica_request`.
 """
 
 import numpy as np
 import pytest
 
 from repro.batch.cache import SweepCache
-from repro.batch.sim import ReplicaBatchSpec, simulate_replicas_cached
+from repro.batch.sim import ReplicaBatchSpec, replica_request, simulate_replicas
 from repro.graph import nodes, plan
 from repro.graph.planner import evaluate
 from repro.machines.catalog import DEFAULT_MACHINES
@@ -108,7 +108,9 @@ class TestSimSweepNodes:
             machine, FIVE_POINT, PartitionKind.SQUARE, 20, 4, [0, 1, 2],
             jitter=0.1,
         )
-        offline = simulate_replicas_cached(spec, cache=cache)
+        offline = cache.get_or_compute(
+            replica_request(spec), lambda: simulate_replicas(spec).to_arrays()
+        )
         node = nodes.sim_sweep(
             machine, FIVE_POINT, PartitionKind.SQUARE, 20, 4, [0, 1, 2],
             jitter=0.1,
@@ -117,7 +119,7 @@ class TestSimSweepNodes:
         assert p.cache_hits == 1  # warmed by the offline store
         (arrays,) = p.execute()
         np.testing.assert_array_equal(
-            np.asarray(arrays["cycle_times"]), offline.cycle_times
+            np.asarray(arrays["cycle_times"]), offline["cycle_times"]
         )
 
     def test_full_range_seeds_stay_exact(self):

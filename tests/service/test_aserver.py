@@ -21,17 +21,12 @@ import numpy as np
 import pytest
 
 from repro.batch.cache import SweepCache
-from repro.graph.families import kinds
+from repro.batch.engine import SweepSpec
+from repro.graph.families import family_for, kinds
 from repro.service import AsyncSweepServer, ServiceClient, ServiceCore
 from repro.service.aserver import _HttpError, _RequestParser
 from repro.service.frame import FRAME_CONTENT_TYPE, decode_frame
-from repro.service.schema import (
-    allocation_payload,
-    plan_payload,
-    sim_sweep_payload,
-    sim_validate_payload,
-    sweep_payload,
-)
+from repro.service.schema import allocation_payload
 
 SIDES = list(range(64, 256, 16))
 
@@ -398,15 +393,20 @@ CONTRACT_STREAM = [
     allocation_payload("paper-bus", "5-point", "square", SIDES),
     allocation_payload("ipsc", "5-point", "strip", SIDES, integer=True),
     allocation_payload("ipsc", "5-point", "strip", SIDES, integer=True),
-    plan_payload("paper-bus", 256),
-    plan_payload("paper-bus", 256, [8, 16, 32]),
-    plan_payload("paper-bus", 256, [8, 16, 32]),
-    sweep_payload(SIDES, [4, 16], ["paper-bus", "flex32"]),
-    sweep_payload(SIDES, [4, 16], ["paper-bus", "flex32"]),
-    sim_sweep_payload("paper-bus", 32, 4, replicas=8, jitter=0.1),
-    sim_sweep_payload("paper-bus", 32, 4, replicas=8, jitter=0.1),
-    sim_validate_payload("ipsc", 24, [1, 2, 4, 8]),
-    sim_validate_payload("ipsc", 24, [1, 2, 4, 8]),
+    family_for("plan").payload("paper-bus", 256),
+    family_for("plan").payload("paper-bus", 256, [8, 16, 32]),
+    family_for("plan").payload("paper-bus", 256, [8, 16, 32]),
+    *[
+        family_for("sweep").payload(
+            SweepSpec.across_catalog(SIDES, [4, 16], machines=["paper-bus", "flex32"])
+        )
+    ] * 2,
+    *[
+        family_for("sim_sweep").payload(
+            machine="paper-bus", n=32, n_processors=4, seeds=range(8), jitter=0.1
+        )
+    ] * 2,
+    *[family_for("sim_validate").payload("ipsc", n=24, processor_counts=[1, 2, 4, 8])] * 2,
     {"kind": "allocation_curve", "machine": "no-such-machine"},
 ]
 

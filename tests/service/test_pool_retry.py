@@ -143,16 +143,17 @@ class _ClosingHandler(_OkHandler):
 class _CannedServer:
     """A raw socket server that answers every request with fixed bytes.
 
-    Each accepted connection reads one request head, writes ``reply``
-    (nothing at all when it is ``None``: a stalled server), and then
-    closes the socket — so a body without ``Content-Length`` is
-    delimited only by the close, as a chunked or HTTP/1.0-style reply
-    would be.
+    Each accepted connection reads one request head (kept, as sent, in
+    ``heads``), writes ``reply`` (nothing at all when it is ``None``: a
+    stalled server), and then closes the socket — so a body without
+    ``Content-Length`` is delimited only by the close, as a chunked or
+    HTTP/1.0-style reply would be.
     """
 
     def __init__(self, reply: bytes | None) -> None:
         self.reply = reply
         self.connections = 0
+        self.heads: list[bytes] = []
         self._listener = socket.create_server(("127.0.0.1", 0))
         self._listener.settimeout(0.05)  # poll, so close() is prompt
         self._stop = threading.Event()
@@ -180,6 +181,7 @@ class _CannedServer:
                     if not chunk:
                         break
                     head += chunk
+                self.heads.append(head)
                 if self.reply is None:
                     self._stop.wait(5.0)
                 else:
@@ -421,6 +423,19 @@ class TestClientContract:
                 "/prefix/v1/stats",
                 "/prefix/v1/compute",
             ]
+
+    def test_bodiless_gets_are_sent_without_a_content_type(self, canned):
+        server = canned(
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b'Content-Length: 16\r\n\r\n{"status": "ok"}'
+        )
+        client = ServiceClient(server.url)
+        assert client.health() == client.stats() == {"status": "ok"}
+        host = b"Host: " + server.url.removeprefix("http://").encode() + b"\r\n"
+        assert server.heads == [
+            b"GET /healthz HTTP/1.1\r\n" + host + b"\r\n",
+            b"GET /v1/stats HTTP/1.1\r\n" + host + b"\r\n",
+        ]
 
     def test_stalled_server_raises_a_timeout(self, canned):
         stalled = canned(None)

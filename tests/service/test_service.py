@@ -14,6 +14,7 @@ import pytest
 from repro.batch import SweepCache, optimal_allocation_curve, run_sweep, SweepSpec
 from repro.errors import ReproError
 from repro.graph.executors import NumpyExecutor
+from repro.graph.families import family_for
 from repro.machines.catalog import DEFAULT_MACHINES, FLEX32, PAPER_BUS
 from repro.service import (
     AsyncSweepServer,
@@ -28,6 +29,9 @@ from repro.stencils.perimeter import PartitionKind
 
 SQUARE = PartitionKind.SQUARE
 SIDES = list(range(64, 512, 16))
+PLAN, SWEEP, SIM_SWEEP, SIM_VALIDATE = (
+    family_for(op) for op in ("plan", "sweep", "sim_sweep", "sim_validate")
+)
 
 
 # Every service behaviour below must hold whether the daemon keeps its
@@ -284,7 +288,7 @@ class TestAllocationRequests:
         with pytest.raises(ServiceError, match=">= 1"):
             client.allocation_curve("paper-bus", "5-point", "square", [0])
         with pytest.raises(ServiceError, match=">= 1"):
-            client.plan("paper-bus", 0)
+            client.compute(PLAN.payload("paper-bus", 0))
         # Nothing bogus was cached or computed along the way.
         assert client.stats()["cache"]["misses"] == 0
 
@@ -399,8 +403,12 @@ class TestCoalescing:
         results = _fire_group_commit_round(
             server,
             gate,
-            lambda c, lo: c.sweep(
-                list(range(lo, lo + 120)), [1.0, 4.0, 16.0], ["ipsc", "paper-bus"]
+            lambda c, lo: c.compute(
+                SWEEP.payload(
+                    SweepSpec.across_catalog(
+                        list(range(lo, lo + 120)), [1.0, 4.0, 16.0], machines=["ipsc", "paper-bus"]
+                    )
+                )
             ),
             [64 + 13 * i for i in range(6)],
         )
@@ -636,7 +644,7 @@ class TestGroupCommitCore:
 
 class TestPlanAndSweep:
     def test_plan_arrays(self, client):
-        plan = client.plan("paper-bus", 256)
+        plan = client.compute(PLAN.payload("paper-bus", 256))
         assert plan["max_useful"].shape[1] == 2
         assert plan["default_sides"].shape == (3,)
         # The Section-6.1 anchor: ~14 processors on 256x256 squares.
@@ -645,26 +653,24 @@ class TestPlanAndSweep:
         assert round(plan["max_useful"][row, 1].item(), 1) == 14.0
 
     def test_plan_grid_mode(self, client):
-        plan = client.plan("paper-bus", 256, grid=[2, 4, 8, 16])
+        plan = client.compute(PLAN.payload("paper-bus", 256, grid=[2, 4, 8, 16]))
         assert plan["grid_strip"].shape == (4,)
         assert plan["grid_square"].shape == (4,)
 
     def test_plan_rejects_non_bus(self, client):
         with pytest.raises(ServiceError, match="not a bus"):
-            client.plan("ipsc", 256)
+            client.compute(PLAN.payload("ipsc", 256))
 
     def test_distinct_plans_never_wait_for_each_other(self, monkeypatch):
         # A plan is not fusable, so it is a group-commit group of its
         # own: a second, different plan computes while the first is
         # still evaluating, instead of riding its bucket.
-        from repro.service.schema import plan_payload
-
         gate = _ParkFirstEvaluation(monkeypatch)
         core = ServiceCore()
         results = {}
 
         def fire(n):
-            results[n] = core.compute_arrays(plan_payload("paper-bus", n))
+            results[n] = core.compute_arrays(PLAN.payload("paper-bus", n))
 
         first = threading.Thread(target=fire, args=(256,))
         first.start()
@@ -682,12 +688,10 @@ class TestPlanAndSweep:
         _assert_batching_state_empty(core)
 
     def test_sweep_surfaces_match_run_sweep(self, client):
-        surfaces = client.sweep(
-            [64, 128, 256], [1.0, 4.0, 16.0], ["ipsc", "paper-bus"]
-        )
         spec = SweepSpec.across_catalog(
             [64, 128, 256], [1.0, 4.0, 16.0], machines=["ipsc", "paper-bus"]
         )
+        surfaces = client.compute(SWEEP.payload(spec))
         direct = run_sweep(spec)
         for name in ("ipsc", "paper-bus"):
             np.testing.assert_array_equal(surfaces[name], direct.cycle_time(name))
@@ -697,8 +701,10 @@ class TestSimRequests:
     def test_sim_sweep_is_bit_identical_to_offline(self, client):
         from repro.batch.sim import ReplicaBatchSpec, simulate_replicas
 
-        served = client.sim_sweep(
-            "paper-bus", 32, 4, replicas=16, seed=5, jitter=0.1
+        served = client.compute(
+            SIM_SWEEP.payload(
+                machine="paper-bus", n=32, n_processors=4, seeds=range(5, 21), jitter=0.1
+            )
         )
         spec = ReplicaBatchSpec.monte_carlo(
             PAPER_BUS, FIVE_POINT, SQUARE, 32, 4, 16, seed=5, jitter=0.1
@@ -714,7 +720,9 @@ class TestSimRequests:
         from repro.batch.sim import ReplicaBatchSpec, simulate_replicas
 
         seeds = [3, 99, 2**63, 2**64 - 1]
-        served = client.sim_sweep("ipsc", 24, 9, seeds=seeds, jitter=0.25)
+        served = client.compute(
+            SIM_SWEEP.payload(machine="ipsc", n=24, n_processors=9, seeds=seeds, jitter=0.25)
+        )
         spec = ReplicaBatchSpec.build(
             DEFAULT_MACHINES["ipsc"], FIVE_POINT, SQUARE, 24, 9, seeds,
             jitter=0.25,
@@ -726,37 +734,45 @@ class TestSimRequests:
     def test_sim_validate_matches_offline(self, client):
         from repro.sim.validate import validation_arrays
 
-        served = client.sim_validate("paper-bus", 24, [1, 2, 4, 8])
+        served = client.compute(
+            SIM_VALIDATE.payload("paper-bus", n=24, processor_counts=[1, 2, 4, 8])
+        )
         offline = validation_arrays(PAPER_BUS, FIVE_POINT, 24, [1, 2, 4, 8], SQUARE)
         assert sorted(served) == sorted(offline)
         for name in offline:
             np.testing.assert_array_equal(served[name], offline[name])
 
     def test_repeat_sim_is_a_memory_hit(self, client):
-        client.sim_sweep("flex32", 20, 4, replicas=8)
-        client.sim_sweep("flex32", 20, 4, replicas=8)
+        request = SIM_SWEEP.payload(machine="flex32", n=20, n_processors=4, seeds=range(8))
+        client.compute(request)
+        client.compute(request)
         assert client.last_served == "memory"
 
     def test_sim_counter_and_kinds_surface(self, client):
         assert "sim_sweep" in client.health()["kinds"]
         assert "sim_validate" in client.health()["kinds"]
-        client.sim_sweep("paper-bus", 16, 4, replicas=4)
-        client.sim_validate("paper-bus", 16, [1, 2])
+        client.compute(
+            SIM_SWEEP.payload(machine="paper-bus", n=16, n_processors=4, seeds=range(4))
+        )
+        client.compute(SIM_VALIDATE.payload("paper-bus", n=16, processor_counts=[1, 2]))
         assert client.stats()["counters"]["sim"] == 2
 
     def test_bad_sim_requests_are_400s(self, client):
+        def sim(machine, n, seeds=range(2), **knobs):
+            return SIM_SWEEP.payload(machine=machine, n=n, n_processors=4, seeds=seeds, **knobs)
+
         with pytest.raises(ServiceError, match="unknown machine"):
-            client.sim_sweep("cray-1", 16, 4, replicas=2)
+            client.compute(sim("cray-1", 16))
         with pytest.raises(ServiceError, match=">= 1"):
-            client.sim_sweep("paper-bus", 0, 4, replicas=2)
+            client.compute(sim("paper-bus", 0))
         with pytest.raises(ServiceError, match="seeds"):
-            client.sim_sweep("paper-bus", 16, 4, seeds=[])
+            client.compute(sim("paper-bus", 16, seeds=[]))
         with pytest.raises(ServiceError, match="jitter"):
-            client.sim_sweep("paper-bus", 16, 4, replicas=2, jitter=1.5)
+            client.compute(sim("paper-bus", 16, jitter=1.5))
         with pytest.raises(ServiceError, match="mode"):
-            client.sim_sweep("paper-bus", 16, 4, replicas=2, mode="warp")
+            client.compute(sim("paper-bus", 16, mode="warp"))
         with pytest.raises(ServiceError, match="processors"):
-            client.sim_validate("paper-bus", 16, [])
+            client.compute(SIM_VALIDATE.payload("paper-bus", n=16, processor_counts=[]))
         # Nothing bogus was cached or computed along the way.
         assert client.stats()["cache"]["misses"] == 0
 

@@ -431,6 +431,32 @@ class TestSimulate:
             with pytest.raises(InvalidParameterError, match="at most 4 replicas"):
                 main(argv + ["--replicas", "5"] + server)
 
+    def test_server_sends_consecutive_seeds_as_the_shorthand(self, monkeypatch, capsys):
+        # 100000 replicas travel as two integers, not a seed list, and
+        # print exactly what the offline route prints.
+        import json
+
+        from repro.service import AsyncSweepServer, ServiceClient
+
+        bodies = []
+        raw_request = ServiceClient._raw_request
+
+        def recording(self, method, path, data=None, *args):
+            bodies.append(data)
+            return raw_request(self, method, path, data, *args)
+
+        monkeypatch.setattr(ServiceClient, "_raw_request", recording)
+        argv = self.ARGV[: self.ARGV.index("--replicas")] + ["--jitter", "0.05"]
+        argv += ["--replicas", "100000"]
+        assert main(argv) == 0
+        offline = capsys.readouterr().out
+        with AsyncSweepServer(port=0) as srv:
+            assert main(argv + ["--server", srv.url]) == 0
+        assert capsys.readouterr().out == offline
+        (body,) = bodies
+        assert len(body) < 300
+        assert (json.loads(body)["replicas"], json.loads(body)["seed"]) == (100000, 0)
+
     def test_server_plus_cache_rejected(self):
         from repro.errors import InvalidParameterError
 
