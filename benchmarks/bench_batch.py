@@ -1,14 +1,10 @@
-"""BENCH-BATCH: the sweep engine's speedups over the per-point paths.
+"""BENCH-BATCH: the sweep engine's speedup over the per-point path.
 
-Two measurements, recorded to ``results/BENCH_batch.json`` so the perf
-trajectory is tracked across PRs:
-
-* **scalar vs vectorized** — a 200×200 (N, P) grid across the four
-  architecture families (hypercube, mesh, bus, banyan) through
-  ``run_sweep`` versus the equivalent scalar ``cycle_time`` loop.  The
-  engine promises ≥ 10×; typical is well above.
-* **serial vs parallel runner** — the rewired figure/table experiments
-  through ``run_experiments`` with ``jobs=1`` versus ``jobs=4``.
+A 200×200 (N, P) grid across the four architecture families
+(hypercube, mesh, bus, banyan) through ``run_sweep`` versus the
+equivalent scalar ``cycle_time`` loop, recorded to
+``results/BENCH_batch.json`` so the perf trajectory is tracked.  The
+engine promises ≥ 10×; typical is well above.
 
 Run as a script (CI's smoke bench) or under pytest:
 
@@ -19,9 +15,7 @@ Run as a script (CI's smoke bench) or under pytest:
 from __future__ import annotations
 
 import json
-import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -29,7 +23,6 @@ import numpy as np
 
 from repro.batch import SweepSpec, run_sweep
 from repro.core.parameters import Workload
-from repro.experiments.runner import run_experiments
 from repro.machines.catalog import DEFAULT_MACHINES
 from repro.report.csvio import default_results_dir
 from repro.stencils.library import FIVE_POINT
@@ -37,10 +30,6 @@ from repro.stencils.perimeter import PartitionKind
 
 #: One preset per architecture family of the paper.
 MACHINES = ("ipsc", "fem", "paper-bus", "butterfly")
-
-#: ``None`` = every registered experiment: the mix of two slow runs
-#: (E-SOLVE, E-FIG7) and many fast ones is what the pool overlaps.
-PARALLEL_IDS = None
 
 GRID_POINTS = 200
 
@@ -101,33 +90,10 @@ def bench_vectorized() -> dict:
     }
 
 
-def bench_parallel_runner(jobs: int = 4) -> dict:
-    """Wall-clock the experiment set serially and through the pool."""
-    with tempfile.TemporaryDirectory() as tmp:
-        start = time.perf_counter()
-        run_experiments(Path(tmp) / "serial", ids=PARALLEL_IDS, jobs=1)
-        serial_s = time.perf_counter() - start
-
-        start = time.perf_counter()
-        run_experiments(Path(tmp) / "parallel", ids=PARALLEL_IDS, jobs=jobs)
-        parallel_s = time.perf_counter() - start
-    return {
-        "experiments": PARALLEL_IDS or "all",
-        "jobs": jobs,
-        # Interpret the ratio against the cores actually available: on a
-        # single-CPU box the pool cannot beat serial, by construction.
-        "cpus": os.cpu_count(),
-        "serial_seconds": serial_s,
-        "parallel_seconds": parallel_s,
-        "speedup": serial_s / parallel_s,
-    }
-
-
 def run_bench(output_path: Path | None = None) -> dict:
     payload = {
         "bench": "batch",
         "vectorized_sweep": bench_vectorized(),
-        "parallel_runner": bench_parallel_runner(),
     }
     path = output_path or (default_results_dir() / "BENCH_batch.json")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -144,7 +110,6 @@ def test_bench_batch(results_dir):
     # The acceptance bar: a 200x200 (N, P) sweep across the four
     # architectures is at least 10x faster vectorized than per-point.
     assert sweep["speedup"] >= 10.0, sweep
-    assert payload["parallel_runner"]["speedup"] > 0.0
 
 
 if __name__ == "__main__":
@@ -153,6 +118,5 @@ if __name__ == "__main__":
     print()
     ok = report["vectorized_sweep"]["speedup"] >= 10.0
     print(f"vectorized speedup {report['vectorized_sweep']['speedup']:.1f}x "
-          f"({'PASS' if ok else 'FAIL'} >= 10x), "
-          f"parallel runner {report['parallel_runner']['speedup']:.2f}x")
+          f"({'PASS' if ok else 'FAIL'} >= 10x)")
     sys.exit(0 if ok else 1)

@@ -1,10 +1,10 @@
 """Benchmark harness conventions.
 
-Every bench regenerates one paper artifact (figure, table, or in-text
-claim), times the regeneration with pytest-benchmark, prints the same
-rows the paper reports, and asserts the reproduction's shape anchors.
-Run with ``pytest benchmarks/ --benchmark-only``; add ``-s`` to see the
-reports inline (they are also written to ``results/`` as CSV).
+Each gated script (``bench_batch``, ``bench_analysis``, ``bench_service``,
+``bench_graph``, ``bench_sim``) runs as ``python benchmarks/bench_<x>.py``,
+exits nonzero when its gate fails, and records its measurements under
+``results/BENCH_<x>.json``.  Under pytest (``pytest benchmarks/bench_<x>.py
+-s``) the same scripts write through the ``results_dir`` fixture.
 """
 
 from __future__ import annotations
@@ -17,10 +17,3 @@ from repro.report.csvio import default_results_dir
 @pytest.fixture(scope="session")
 def results_dir():
     return default_results_dir()
-
-
-def emit(result, results_dir) -> None:
-    """Print an experiment report and persist its CSV artifacts."""
-    print()
-    print(result.render())
-    result.write_csvs(results_dir)

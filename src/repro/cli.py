@@ -12,7 +12,8 @@ Subcommands
     Batched replica simulation: Monte Carlo cycle-time bands for one
     (machine, grid, P) configuration, many seeds at once.
 ``experiments``
-    Run registered experiments (same as ``repro.experiments.runner``).
+    Run registered experiments serially, printing each report and
+    writing its CSV artifacts.
 ``serve``
     Long-running sweep server: plan/optimize/sweep over HTTP with a
     shared, size-bounded, deduplicated result cache.
@@ -63,7 +64,7 @@ from repro.machines.catalog import DEFAULT_MACHINES
 from repro.report.tables import format_kv_block, format_table
 from repro.stencils.library import ALL_STENCILS
 
-__all__ = ["main", "build_parser", "experiments_arguments", "parse_axis"]
+__all__ = ["main", "build_parser", "parse_axis"]
 
 
 def parse_axis(spec: str) -> list[int]:
@@ -369,18 +370,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def experiments_arguments() -> argparse.ArgumentParser:
-    """The ``experiments`` flags, also parsed by ``repro.experiments.runner``."""
-    parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("ids", nargs="*", help="experiment ids (default: all)")
-    parser.add_argument("--list", action="store_true", help="list experiment ids")
-    parser.add_argument("--output", type=Path, default=None, help="CSV directory")
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="experiments to run concurrently"
-    )
-    return parser
-
-
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.experiments.runner import run_from_args
 
@@ -520,9 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
     simc.add_argument("--t-flop", type=float, default=1e-6)
     simc.set_defaults(func=_cmd_simulate)
 
-    sub.add_parser(
-        "experiments", parents=[experiments_arguments()], help="run paper experiments"
-    ).set_defaults(func=_cmd_experiments)
+    exps = sub.add_parser("experiments", help="run paper experiments")
+    exps.add_argument("ids", nargs="*", help="experiment ids (default: all)")
+    exps.add_argument("--list", action="store_true", help="list experiment ids")
+    exps.add_argument("--output", type=Path, default=None, help="CSV directory")
+    exps.set_defaults(func=_cmd_experiments)
 
     serve = sub.add_parser(
         "serve", help="long-running sweep server (HTTP)"

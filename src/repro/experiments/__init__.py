@@ -1,8 +1,8 @@
 """Experiment harness regenerating every figure and table of the paper.
 
 Importing this package registers all experiments; use
-:func:`repro.experiments.get_experiment` or the module runner
-(``python -m repro.experiments.runner``).
+:func:`repro.experiments.get_experiment`, or run them with
+``repro experiments``.
 """
 
 import repro.experiments.analysis_exp  # noqa: F401
@@ -22,12 +22,10 @@ from repro.experiments.registry import (
     all_experiments,
     get_experiment,
 )
-from repro.experiments.runner import run_all
 
 __all__ = [
     "ExperimentResult",
     "ExperimentTable",
     "all_experiments",
     "get_experiment",
-    "run_all",
 ]

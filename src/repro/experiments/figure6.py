@@ -5,7 +5,9 @@ For a 256×256 grid and every even target area in [1024, 16384]
 rectangle and record the relative error in area (6a) and perimeter
 (6b).  The paper reports errors "usually less than 3% for area and
 less than 6% for perimeter", with similar results at 128, 512 and 1024
-— all four grids are swept here.
+— all four grids are swept here.  The 256×256 sweep is also kept
+sample by sample (the literal bar-graph data) as the ``series n=256``
+table; the report names its CSV instead of printing its rows.
 """
 
 from __future__ import annotations
@@ -25,9 +27,7 @@ def _grid_summary(n: int, lo: int, hi: int, step: int = 2):
 
 
 @register("E-FIG6")
-def run_figure6(full_series: bool = False) -> ExperimentResult:
-    """``full_series=True`` additionally emits every (A, error) sample of
-    the 256×256 sweep (the literal bar-graph data)."""
+def run_figure6() -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="E-FIG6",
         title="Working-rectangle approximation errors (Figure 6)",
@@ -65,23 +65,22 @@ def run_figure6(full_series: bool = False) -> ExperimentResult:
         ],
         summary_rows,
     )
-    if full_series:
-        curve, _, _ = _grid_summary(256, 1024, 16384, step=2)
-        series_rows = [
-            (
-                int(curve.target_areas[i]),
-                int(curve.heights[i]),
-                int(curve.widths[i]),
-                curve.area_errors[i].item(),
-                curve.perimeter_errors[i].item(),
-            )
-            for i in range(len(curve))
-        ]
-        result.add_table(
-            "series n=256",
-            ["target area", "height", "width", "area err", "perimeter err"],
-            series_rows,
+    curve, _, _ = _grid_summary(256, 1024, 16384, step=2)
+    series_rows = [
+        (
+            int(curve.target_areas[i]),
+            int(curve.heights[i]),
+            int(curve.widths[i]),
+            curve.area_errors[i].item(),
+            curve.perimeter_errors[i].item(),
         )
+        for i in range(len(curve))
+    ]
+    result.add_table(
+        "series n=256",
+        ["target area", "height", "width", "area err", "perimeter err"],
+        series_rows,
+    )
     result.notes.append(
         "Paper: errors 'usually less than 3% for area and less than 6% for "
         "perimeter' on the 256x256 grid, similar at 128/512/1024."

@@ -8,9 +8,10 @@ states the anchor: "a 256×256 grid with square partitions and a
 with a 9-point stencil should use 1 to 22 processors", which pins the
 bus constants of :data:`repro.machines.catalog.PAPER_BUS`.
 
-Each closed-form point is cross-checked against the generic optimizer
-(binary search on ``n`` for the smallest grid whose optimal allocation
-spreads over all N).
+The closed form is checked against the generic optimizer (binary
+search on ``n`` for the smallest grid whose optimal allocation spreads
+over all N) for every configuration and N <= 8 by
+``tests/core/test_minimal_size.py``, not at run time.
 """
 
 from __future__ import annotations
@@ -18,10 +19,7 @@ from __future__ import annotations
 import math
 
 from repro.batch import minimal_grid_side_curve
-from repro.core.minimal_size import (
-    max_useful_processors,
-    minimal_grid_size_numeric,
-)
+from repro.core.minimal_size import max_useful_processors
 from repro.core.parameters import Workload
 from repro.experiments.registry import ExperimentResult, register
 from repro.machines.catalog import PAPER_BUS, PAPER_BUS_ASYNC
@@ -41,7 +39,6 @@ _CONFIGS = (
 @register("E-FIG7")
 def run_figure7(
     processor_counts: tuple[int, ...] = tuple(range(2, 25, 2)),
-    verify_numeric: bool = True,
 ) -> ExperimentResult:
     result = ExperimentResult(
         experiment_id="E-FIG7",
@@ -64,19 +61,9 @@ def run_figure7(
         rows = []
         for i, n_procs in enumerate(processor_counts):
             row: list[object] = [n_procs]
-            for label, machine, kind in _CONFIGS:
+            for label, _, _ in _CONFIGS:
                 n_min = n_mins[label][i].item()
                 row.append(math.log2(max(n_min, 1.0) ** 2))
-                if verify_numeric and n_procs <= 8:
-                    numeric = minimal_grid_size_numeric(
-                        machine, template, kind, n_procs
-                    )
-                    # Closed form and optimizer must agree to one grid line.
-                    if abs(numeric - n_min) > max(2.0, 0.02 * n_min):
-                        result.notes.append(
-                            f"WARNING {label} N={n_procs}: closed form "
-                            f"{n_min:.1f} vs numeric {numeric}"
-                        )
             rows.append(tuple(row))
         result.add_table(
             f"log2(n^2_min) — {stencil.name}",

@@ -5,8 +5,8 @@ keyed by the id used in DESIGN.md's per-experiment index (``E-FIG7``,
 ``E-TAB1``, …).  An experiment is a function returning an
 :class:`ExperimentResult`: named tables of rows plus free-form notes.
 The same result object drives the textual report, the CSV artifacts,
-and the pytest benches, so there is exactly one source of truth per
-artifact.
+and the tier-1 anchor tests, so there is exactly one source of truth
+per artifact.
 """
 
 from __future__ import annotations
@@ -21,6 +21,10 @@ from repro.report.tables import format_table
 
 __all__ = ["ExperimentTable", "ExperimentResult", "register", "get_experiment", "all_experiments"]
 
+#: Longest table the textual report prints row by row; every table of
+#: a paper figure fits, a per-sample series does not.
+MAX_RENDERED_ROWS = 100
+
 
 @dataclass(frozen=True)
 class ExperimentTable:
@@ -31,7 +35,7 @@ class ExperimentTable:
     rows: tuple[tuple[object, ...], ...]
 
     def column(self, header: str) -> list[object]:
-        """Extract one column by header name (bench assertions use this)."""
+        """Extract one column by header name (anchor tests use this)."""
         try:
             idx = self.headers.index(header)
         except ValueError:
@@ -75,11 +79,19 @@ class ExperimentResult:
         )
 
     def render(self) -> str:
-        """Full textual report (what the benches print)."""
+        """Full textual report (what ``repro experiments`` prints).
+
+        A table longer than :data:`MAX_RENDERED_ROWS` is one line naming
+        its row count and CSV artifact; its rows live only in the CSV.
+        """
         parts = [f"[{self.experiment_id}] {self.title}"]
         for table in self.tables:
             parts.append("")
-            parts.append(format_table(table.headers, table.rows, title=table.name))
+            if len(table.rows) > MAX_RENDERED_ROWS:
+                csv_name = csv_filename(self.experiment_id, table.name)
+                parts.append(f"{table.name}: {len(table.rows)} rows, in {csv_name}")
+            else:
+                parts.append(format_table(table.headers, table.rows, title=table.name))
         if self.notes:
             parts.append("")
             parts.extend(f"note: {n}" for n in self.notes)
@@ -89,9 +101,7 @@ class ExperimentResult:
         """One CSV per table, named ``<id>_<table>.csv`` (ASCII slugs).
 
         Table names are slugified (:func:`repro.report.csvio.slugify`)
-        so artifacts carry no em-dashes, parentheses, or colons;
-        :func:`repro.report.csvio.locate_csv` still resolves artifacts
-        written under the old nearly-raw scheme.
+        so artifacts carry no em-dashes, parentheses, or colons.
         """
         out = []
         for table in self.tables:

@@ -1,24 +1,18 @@
-"""Run experiments from the command line.
+"""Run experiments serially for ``repro experiments``.
 
-``python -m repro.experiments.runner``            — run everything
-``python -m repro.experiments.runner E-FIG7``     — run one experiment
-``python -m repro.experiments.runner --list``     — list ids
-``python -m repro.experiments.runner --jobs 4``   — run concurrently
+``repro experiments``            — run everything
+``repro experiments E-FIG7``     — run one experiment
+``repro experiments --list``     — list ids
 
 Each run prints the textual report, a per-experiment wall-time summary,
 and writes the CSV artifacts under ``results/`` (or ``--output``, which
-is created if missing).  Independent experiments run concurrently in a
-process pool when ``--jobs > 1``; reports always come back in request
-order.
+is created if missing).  Reports come back in request order.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,12 +28,11 @@ import repro.experiments.scaled  # noqa: F401
 import repro.experiments.simulation  # noqa: F401
 import repro.experiments.solver_exp  # noqa: F401
 import repro.experiments.table1  # noqa: F401
-from repro.errors import ExperimentError, InvalidParameterError
 from repro.experiments.registry import all_experiments, get_experiment
 from repro.report.csvio import default_results_dir
 from repro.report.tables import format_table
 
-__all__ = ["ExperimentRun", "run_experiments", "run_all", "run_from_args", "main"]
+__all__ = ["ExperimentRun", "run_experiments", "run_from_args"]
 
 
 @dataclass(frozen=True)
@@ -57,8 +50,8 @@ def _select_ids(ids: list[str] | None) -> list[str]:
 
     ``None`` means every registered experiment; an explicit empty list
     selects nothing (it is not a silent run-everything).  Duplicates
-    collapse to the first occurrence — two workers must never write the
-    same CSV paths concurrently.
+    collapse to the first occurrence, so a repeated id neither runs
+    twice nor rewrites its CSVs.
     """
     if ids is None:
         return sorted(all_experiments())
@@ -70,15 +63,11 @@ def _select_ids(ids: list[str] | None) -> list[str]:
     return selected
 
 
-def _run_one(exp_id: str, output_dir: str) -> ExperimentRun:
-    """Worker body: run one experiment and write its artifacts.
-
-    Module-level so a process pool can pickle it; re-importing this
-    module in a worker repopulates the registry.
-    """
+def _run_one(exp_id: str, output_dir: Path) -> ExperimentRun:
+    """Run one experiment and write its artifacts."""
     start = time.perf_counter()
     result = get_experiment(exp_id)()
-    paths = tuple(result.write_csvs(Path(output_dir)))
+    paths = tuple(result.write_csvs(output_dir))
     return ExperimentRun(
         experiment_id=exp_id,
         report=result.render(),
@@ -87,110 +76,39 @@ def _run_one(exp_id: str, output_dir: str) -> ExperimentRun:
     )
 
 
-def _run_one_pooled(exp_id: str, output_dir: str) -> ExperimentRun:
-    """Pool wrapper: convert a worker crash into a picklable error.
-
-    A raw exception crossing the process boundary keeps only what
-    pickles — often just a bare repr, sometimes nothing at all when the
-    exception type itself fails to round-trip — and the traceback never
-    survives.  Capturing ``format_exc`` *in the worker* and re-raising
-    an :class:`ExperimentError` carrying the experiment id plus the full
-    traceback text makes the parent's failure report actionable.
-    """
-    try:
-        return _run_one(exp_id, output_dir)
-    except Exception:
-        raise ExperimentError(
-            f"experiment {exp_id} failed in a worker process\n"
-            f"{traceback.format_exc()}"
-        ) from None
-
-
 def run_experiments(
     output_dir: Path | None = None,
     ids: list[str] | None = None,
-    jobs: int = 1,
 ) -> list[ExperimentRun]:
-    """Run the selected (default: all) experiments; returns their outcomes.
+    """Run the selected (default: all) experiments in order.
 
-    ``jobs > 1`` distributes the experiments over a process pool —
-    each experiment is independent, so they parallelize cleanly; results
-    are returned in request order regardless of completion order.  The
-    output directory (and parents) is created up front so a bad
+    The output directory (and parents) is created up front so a bad
     ``--output`` cannot fail mid-run after some experiments completed.
-    A worker failure surfaces as :class:`ExperimentError` naming the
-    experiment and carrying the worker's full traceback text.
     """
-    if jobs < 1:
-        raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
     output_dir = output_dir or default_results_dir()
     output_dir.mkdir(parents=True, exist_ok=True)
-    selected = _select_ids(ids)
-    if not selected:
-        return []
-    if jobs == 1 or len(selected) == 1:
-        return [_run_one(exp_id, str(output_dir)) for exp_id in selected]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(selected))) as pool:
-        futures = [
-            pool.submit(_run_one_pooled, exp_id, str(output_dir))
-            for exp_id in selected
-        ]
-        return [f.result() for f in futures]
+    return [_run_one(exp_id, output_dir) for exp_id in _select_ids(ids)]
 
 
-def run_all(
-    output_dir: Path | None = None,
-    ids: list[str] | None = None,
-    jobs: int = 1,
-) -> list[str]:
-    """Back-compat wrapper over :func:`run_experiments`: reports only."""
-    return [run.report for run in run_experiments(output_dir, ids, jobs)]
-
-
-def _timing_table(runs: list[ExperimentRun], elapsed: float) -> str:
-    """Per-run times plus the true elapsed wall clock.
-
-    Under ``--jobs > 1`` the per-run spans overlap, so their sum
-    exceeds the elapsed time — both are reported, labelled apart.
-    """
+def _timing_table(runs: list[ExperimentRun]) -> str:
+    """Per-run wall times and their total."""
     rows = [(r.experiment_id, f"{r.seconds:.3f}") for r in runs]
-    rows.append(("sum of runs", f"{sum(r.seconds for r in runs):.3f}"))
-    rows.append(("elapsed", f"{elapsed:.3f}"))
+    rows.append(("total", f"{sum(r.seconds for r in runs):.3f}"))
     return format_table(
         ["experiment", "wall time (s)"], rows, title="Per-experiment wall time"
     )
 
 
 def run_from_args(args: argparse.Namespace) -> int:
-    """List experiments, or run them and print reports plus wall times.
-
-    The one flow behind both ``repro experiments`` and ``python -m
-    repro.experiments.runner``; both parse the flags declared by
-    :func:`repro.cli.experiments_arguments`.
-    """
+    """List experiments, or run them and print reports plus wall times."""
     if args.list:
         for exp_id in sorted(all_experiments()):
             print(exp_id)
         return 0
-    start = time.perf_counter()
-    runs = run_experiments(args.output, args.ids or None, jobs=args.jobs)
-    elapsed = time.perf_counter() - start
+    runs = run_experiments(args.output, args.ids or None)
     for run in runs:
         print(run.report)
         print()
     if runs:
-        print(_timing_table(runs, elapsed))
+        print(_timing_table(runs))
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    from repro.cli import experiments_arguments
-
-    parser = argparse.ArgumentParser(
-        description=__doc__, parents=[experiments_arguments()]
-    )
-    return run_from_args(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

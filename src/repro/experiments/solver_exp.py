@@ -51,11 +51,11 @@ def run_solver() -> ExperimentResult:
     )
 
     eq_rows = []
+    seq = solve_jacobi(
+        FIVE_POINT, problem, 32, InfNormCriterion(1e-10), max_iterations=200_000
+    )
     for procs, kind in ((4, "strip"), (6, "block"), (9, "block")):
         dec = decomposition_for(32, procs, kind)
-        seq = solve_jacobi(
-            FIVE_POINT, problem, 32, InfNormCriterion(1e-10), max_iterations=200_000
-        )
         par = solve_jacobi_parallel(
             FIVE_POINT, problem, dec, InfNormCriterion(1e-10), max_iterations=200_000
         )

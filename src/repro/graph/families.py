@@ -254,8 +254,10 @@ class Family:
 
 
 def _json(value: Any) -> Any:
+    if isinstance(value, Architecture):
+        return _preset_name(value)
     if isinstance(value, Stencil):
-        return value.name
+        return _library_name(value)
     if isinstance(value, PartitionKind):
         return value.value
     return value.item() if isinstance(value, np.generic) else value
@@ -390,6 +392,26 @@ def machine_label(machine: Architecture) -> str:
         if preset is machine:
             return name
     return type(machine).__name__
+
+
+def _preset_name(machine: Architecture) -> str:
+    """The catalog name a preset travels under; refuses any other machine."""
+    for name, preset in DEFAULT_MACHINES.items():
+        if preset == machine:
+            return name
+    raise InvalidParameterError(
+        f"{machine!r} is not a catalog preset: requests name their machines"
+    )
+
+
+def _library_name(stencil: Stencil) -> str:
+    """The name a library stencil travels under; refuses any other stencil."""
+    if stencil not in ALL_STENCILS:
+        raise InvalidParameterError(
+            f"stencil {stencil.name!r} is not the library stencil of that name: "
+            "requests name their stencils"
+        )
+    return stencil.name
 
 
 def _head(a: Args) -> str:
@@ -606,13 +628,13 @@ def _oracle_sweep(spec: SweepSpec, axis: np.ndarray) -> dict[str, np.ndarray]:
 def _sweep_to_wire(spec: SweepSpec) -> dict[str, Any]:
     """A sweep's wire form: its spec's fields, machines by catalog name."""
     for name, machine in spec.machines:
-        if _machine(name) != machine:
+        if _preset_name(machine) != name:
             raise InvalidParameterError(f"sweep machine {name!r} is not the catalog preset")
     return {
         "grid_sides": [int(n) for n in spec.grid_sides],
         "processors": [float(p) for p in spec.processors],
         "machines": [name for name, _ in spec.machines],
-        "stencil": spec.stencil.name,
+        "stencil": _library_name(spec.stencil),
         "partition": spec.kind.value,
         "t_flop": float(spec.t_flop),
     }

@@ -7,9 +7,7 @@ the paper's figures pixel-for-pixel.
 Artifact filenames are *slugs*: table names contain em-dashes,
 superscripts, parentheses, and colons (they are written for humans),
 but the files they map to are safe ASCII (``[a-z0-9._-]``) so they
-survive shells, archives, and case-insensitive filesystems.  Older
-releases wrote nearly-raw names; :func:`locate_csv` still finds those
-and warns.
+survive shells, archives, and case-insensitive filesystems.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 import csv
 import re
 import unicodedata
-import warnings
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -26,8 +23,6 @@ __all__ = [
     "default_results_dir",
     "slugify",
     "csv_filename",
-    "legacy_csv_filename",
-    "locate_csv",
 ]
 
 #: Dash-like codepoints mapped to plain "-" before the ASCII fold (the
@@ -61,40 +56,6 @@ def slugify(name: str) -> str:
 def csv_filename(experiment_id: str, table_name: str) -> str:
     """Canonical artifact filename for one experiment table."""
     return f"{slugify(experiment_id)}_{slugify(table_name)}.csv"
-
-
-def legacy_csv_filename(experiment_id: str, table_name: str) -> str:
-    """The pre-slug naming scheme (kept so old artifacts stay findable).
-
-    .. deprecated::
-        Use :func:`csv_filename`; this only exists for
-        :func:`locate_csv` and external scripts still holding old paths.
-    """
-    safe = table_name.lower().replace(" ", "_").replace("/", "-")
-    return f"{experiment_id.lower()}_{safe}.csv"
-
-
-def locate_csv(directory: Path | str, experiment_id: str, table_name: str) -> Path:
-    """Find a table's artifact, preferring the slugged name.
-
-    Falls back to the legacy filename (with a :class:`DeprecationWarning`)
-    when only an old artifact exists; returns the canonical path when
-    neither exists yet (the path a fresh run would write).
-    """
-    directory = Path(directory)
-    canonical = directory / csv_filename(experiment_id, table_name)
-    if canonical.exists():
-        return canonical
-    legacy = directory / legacy_csv_filename(experiment_id, table_name)
-    if legacy.exists():
-        warnings.warn(
-            f"found legacy artifact name {legacy.name!r}; regenerate to get "
-            f"{canonical.name!r} (legacy names will stop being searched)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return legacy
-    return canonical
 
 
 def default_results_dir() -> Path:

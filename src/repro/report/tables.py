@@ -1,6 +1,6 @@
 """Plain-text table rendering for experiment reports.
 
-The benches print the same rows the paper's tables report; this module
+Reports print the same rows the paper's tables report; this module
 keeps the formatting in one place so every experiment output looks the
 same and diffs cleanly from run to run.
 """

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.batch import minimal_grid_side_curve
 from repro.core.minimal_size import (
     max_useful_processors,
     minimal_grid_side,
@@ -77,14 +78,18 @@ class TestScalingLaws:
 
 
 class TestNumericAgreement:
-    @pytest.mark.parametrize("n_procs", [2, 4, 8])
+    @pytest.mark.parametrize("n_procs", [2, 4, 6, 8])
     @pytest.mark.parametrize("kind", [STRIP, SQUARE], ids=str)
-    def test_closed_form_matches_golden_section(self, n_procs, kind):
-        w = Workload(n=2, stencil=FIVE_POINT)
-        closed = minimal_grid_side(
-            PAPER_BUS, 1, FIVE_POINT.flops_per_point, w.t_flop, n_procs, kind
+    @pytest.mark.parametrize("stencil", [FIVE_POINT, NINE_POINT_BOX], ids=lambda s: s.name)
+    @pytest.mark.parametrize("machine", [PAPER_BUS, PAPER_BUS_ASYNC], ids=["sync", "async"])
+    def test_closed_form_matches_golden_section(self, machine, stencil, kind, n_procs):
+        """Every E-FIG7 configuration with N <= 8: the batched closed
+        form the figure prints agrees with the optimizer to a grid line."""
+        w = Workload(n=2, stencil=stencil)
+        (closed,) = minimal_grid_side_curve(
+            machine, w.k(kind), stencil.flops_per_point, w.t_flop, [n_procs], kind
         )
-        numeric = minimal_grid_size_numeric(PAPER_BUS, w, kind, n_procs)
+        numeric = minimal_grid_size_numeric(machine, w, kind, n_procs)
         assert abs(numeric - closed) <= max(2.0, 0.02 * closed)
 
 

@@ -16,7 +16,7 @@ from repro.core.speedup import (
 )
 from repro.errors import InvalidParameterError
 from repro.machines.bus import AsynchronousBus, SynchronousBus
-from repro.stencils.library import FIVE_POINT
+from repro.stencils.library import FIVE_POINT, NINE_POINT_BOX
 from repro.stencils.perimeter import PartitionKind
 
 STRIP = PartitionKind.STRIP
@@ -105,6 +105,27 @@ class TestPaperRatios:
         sq = optimal_speedup(sync_bus, workload_big, SQUARE).speedup
         st = optimal_speedup(sync_bus, workload_big, STRIP).speedup
         assert sq > st
+
+    @pytest.mark.parametrize("n", [256, 1024, 4096])
+    def test_read_only_accounting_scales_square_speedup_by_a_constant(
+        self, sync_bus, n
+    ):
+        """Halving the charged volume scales the square optimum by
+        2^(2/3) at every n: the (n²)^(1/3) law is accounting-independent."""
+        w = Workload(n=n, stencil=FIVE_POINT)
+        ro = SynchronousBus(b=sync_bus.b, c=0.0, volume_mode="read_only")
+        ratio = (
+            optimal_speedup(ro, w, SQUARE).speedup
+            / optimal_speedup(sync_bus, w, SQUARE).speedup
+        )
+        assert abs(ratio - 2 ** (2 / 3)) < 1e-9
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_nine_point_stencil_uses_more_processors(self, sync_bus, n):
+        """More flops per point for the same halo admits more processors."""
+        five = optimal_speedup(sync_bus, Workload(n=n, stencil=FIVE_POINT), SQUARE)
+        nine = optimal_speedup(sync_bus, Workload(n=n, stencil=NINE_POINT_BOX), SQUARE)
+        assert nine.processors > five.processors
 
     def test_communication_twice_computation_at_square_optimum(
         self, sync_bus, workload_big

@@ -145,6 +145,24 @@ def test_a_sweep_travels_only_with_catalog_machines():
             sweep.payload(spec)
 
 
+def test_payload_sends_presets_by_name_and_refuses_anything_else():
+    import dataclasses
+
+    from repro.machines.bus import SynchronousBus
+
+    alloc = family_for("allocation_curve")
+    by_name = alloc.payload("paper-bus", "5-point", "square", [64])
+    assert alloc.payload(PAPER_BUS, FIVE_POINT, SQUARE, [64]) == by_name
+    heavier = dataclasses.replace(FIVE_POINT, flops_per_point=99.0)
+    custom = SynchronousBus(b=1e-6, c=0.0)
+    for machine, stencil in ((custom, "5-point"), ("paper-bus", heavier)):
+        with pytest.raises(InvalidParameterError, match="catalog preset|library stencil"):
+            alloc.payload(machine, stencil, "square", [64])
+    spec = SweepSpec.across_catalog([64], [1, 4], machines=["paper-bus"], stencil=heavier)
+    with pytest.raises(InvalidParameterError, match="library stencil"):
+        family_for("sweep").payload(spec)
+
+
 def test_payload_refuses_too_many_replicas_before_anything_is_sent(monkeypatch):
     monkeypatch.setattr(families, "MAX_REPLICAS", 4)
     sim = family_for("sim_sweep")

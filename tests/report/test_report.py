@@ -165,28 +165,6 @@ class TestArtifactNaming:
         name = csv_filename("E-FIG7", "log2(n^2_min) — 5-point")
         assert name == "e-fig7_log2n2_min_-_5-point.csv"
 
-    def test_locate_prefers_canonical(self, tmp_path):
-        from repro.report.csvio import csv_filename, locate_csv
-
-        canonical = tmp_path / csv_filename("E-X", "a — b")
-        canonical.write_text("new\n")
-        assert locate_csv(tmp_path, "E-X", "a — b") == canonical
-
-    def test_locate_falls_back_to_legacy_with_warning(self, tmp_path):
-        from repro.report.csvio import legacy_csv_filename, locate_csv
-
-        legacy = tmp_path / legacy_csv_filename("E-X", "a — b")
-        legacy.write_text("old\n")
-        with pytest.warns(DeprecationWarning, match="legacy artifact"):
-            found = locate_csv(tmp_path, "E-X", "a — b")
-        assert found == legacy
-
-    def test_locate_returns_canonical_when_nothing_exists(self, tmp_path):
-        from repro.report.csvio import csv_filename, locate_csv
-
-        expected = tmp_path / csv_filename("E-X", "fresh table")
-        assert locate_csv(tmp_path, "E-X", "fresh table") == expected
-
     def test_write_csvs_uses_slugs(self, tmp_path):
         from repro.experiments.registry import ExperimentResult
 

@@ -112,3 +112,19 @@ class TestCheckedCycle:
         )
         assert every > sparse > base
         assert (sparse - base) == pytest.approx((every - base) / 10.0)
+
+    def test_overhead_falls_with_the_period(self):
+        """The overhead of checking every m iterations falls with m and
+        is negligible (< 5%) by m = 50 (n=256, A=4096)."""
+        bus = SynchronousBus(b=6.1e-6, c=0.0)
+        w = Workload(n=256, stencil=FIVE_POINT)
+        area = 4096.0
+        base = bus.cycle_time(w, PartitionKind.SQUARE, area)
+        overheads = [
+            checked_cycle_time(bus, w, PartitionKind.SQUARE, area, CheckSchedule(m))
+            / base
+            - 1.0
+            for m in (1, 2, 5, 10, 50)
+        ]
+        assert all(b < a for a, b in zip(overheads, overheads[1:]))
+        assert overheads[-1] < 0.05

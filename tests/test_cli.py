@@ -84,6 +84,7 @@ class TestParser:
             ["experiments", "--cache-dir", "x"],
             ["experiments", "--max-cache-mb", "4"],
             ["experiments", "--server", "http://127.0.0.1:1"],
+            ["experiments", "--jobs", "2"],
         ],
         ids=[
             "serve-backend",
@@ -92,10 +93,11 @@ class TestParser:
             "experiments-cache-dir",
             "experiments-max-cache-mb",
             "experiments-server",
+            "experiments-jobs",
         ],
     )
     def test_removed_flags_are_rejected(self, capsys, argv):
-        # One transport and no process sharding: nothing to select.
+        # One transport and no process pools: nothing to select.
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
