@@ -202,9 +202,13 @@ class LockRule(Rule):
                 info.requires[method.name] = lock
             in_init = method.name in ("__init__", "__post_init__")
             for node in ast.walk(method):
-                if not isinstance(node, ast.Assign):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                    targets = [node.target]
+                else:
                     continue
-                for target in node.targets:
+                for target in targets:
                     if not isinstance(target, ast.Attribute):
                         continue
                     chain = _self_chain(target)

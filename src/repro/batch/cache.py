@@ -54,7 +54,7 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from repro.batch.frame import FrameError, decode_frame, encode_frame
+from repro.batch.frame import FrameError, decode_frame, encode_frame, frame_length
 from repro.errors import InvalidParameterError
 from repro.machines.bus import AsynchronousBus, SynchronousBus
 
@@ -311,11 +311,15 @@ class SweepCache:
 
     ``max_bytes`` bounds each tier independently: the memory dictionary
     evicts least-recently-used entries past the bound, and the frame
-    store deletes its oldest files (disk hits refresh a file's age) so
-    the directory never outgrows the configured size.  The entry being
-    served or written is never evicted, so a single oversized result
-    still works — the bound is a steady-state ceiling, not a hard
-    admission limit.
+    store deletes its least recently used files.  The disk bound is per
+    process: a running index orders the files this cache knows — those
+    present when it opened the directory (by mtime), and those it has
+    since written or read — and counts their bytes, so a put never
+    rescans the directory.  Disk hits also refresh a file's mtime, so
+    the next process to open the store inherits the order.  The entry
+    being served or written is never evicted, so a single oversized
+    result still works — the bound is a steady-state ceiling, not a
+    hard admission limit.
 
     The disk tier is never touched under the lock: a lookup probes
     memory under it, releases it to read the file, and re-takes it only
@@ -338,9 +342,16 @@ class SweepCache:
             )
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_bytes = max_bytes
+        #: The disk tier's files this cache knows, least recently used
+        #: first: key -> file size.
+        self._disk_index: OrderedDict[str, int] = OrderedDict()  # guarded-by: _lock
+        #: Running sum of the indexed files' sizes.
+        self._disk_bytes = 0  # guarded-by: _lock
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-            self._sweep_debris(self.cache_dir)
+            for _mtime, size, key in sorted(self._scan(self.cache_dir)):
+                self._disk_index[key] = size
+                self._disk_bytes += size
         self._memory: OrderedDict[str, dict[str, np.ndarray]] = OrderedDict()  # guarded-by: _lock
         #: Running sum of the memory tier's array bytes.
         self._memory_bytes = 0  # guarded-by: _lock
@@ -359,32 +370,36 @@ class SweepCache:
             return None
         return self.cache_dir / f"{key}{self.ENTRY_SUFFIX}"
 
-    @staticmethod
-    def _sweep_debris(directory: Path) -> int:
-        """Remove files no lookup will ever read from the directory.
+    @classmethod
+    def _scan(cls, directory: Path) -> list[tuple[float, int, str]]:
+        """The directory's entries as ``(mtime, size, key)``, debris removed.
 
-        Two kinds, found in one directory scan: temp files a worker
-        killed between ``mkstemp`` and ``os.replace`` left behind, which
-        would otherwise accumulate forever, and ``<key>.npz`` entries of
-        the store's earlier format, which nothing reads and which disk
-        eviction (it counts ``*.frame`` files) would never trim.  Fresh
-        temp files are left alone — they may belong to a live writer in
-        another process.
+        One scan lists the entries and removes the files no lookup will
+        ever read: temp files a worker killed between ``mkstemp`` and
+        ``os.replace`` left behind, which would otherwise accumulate
+        forever, and ``<key>.npz`` entries of the store's earlier
+        format, which nothing reads and which disk eviction would never
+        trim.  Fresh temp files are left alone — they may belong to a
+        live writer in another process.
         """
-        removed = 0
+        entries = []
         cutoff = time.time() - ORPHAN_TMP_MAX_AGE_S
         with os.scandir(directory) as scan:
             for entry in scan:
-                legacy = _LEGACY_ENTRY.fullmatch(entry.name) is not None
-                if not legacy and _TMP_FILE.search(entry.name) is None:
-                    continue
                 try:
+                    if entry.name.endswith(cls.ENTRY_SUFFIX):
+                        st = entry.stat()
+                        key = entry.name[: -len(cls.ENTRY_SUFFIX)]
+                        entries.append((st.st_mtime, st.st_size, key))
+                        continue
+                    legacy = _LEGACY_ENTRY.fullmatch(entry.name) is not None
+                    if not legacy and _TMP_FILE.search(entry.name) is None:
+                        continue
                     if legacy or entry.stat().st_mtime < cutoff:
                         os.unlink(entry.path)
-                        removed += 1
                 except OSError:
-                    continue  # raced with another sweeper or a live writer
-        return removed
+                    continue  # raced with another sweeper, evictor or live writer
+        return entries
 
     @staticmethod
     def _freeze(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -434,36 +449,39 @@ class SweepCache:
         with self._lock:
             self.stats.disk_errors += 1
 
-    def _evict_disk(self, protect: str) -> None:
-        """Delete oldest entry files until the store fits ``max_bytes``.
+    def _index_disk(self, key: str, size: int | None) -> None:  # requires-lock: _lock
+        """Mark ``key``'s file most recently used at ``size`` bytes, or
+        drop it from the index (``size=None``)."""
+        self._disk_bytes -= self._disk_index.pop(key, 0)
+        if size is not None:
+            self._disk_index[key] = size
+            self._disk_bytes += size
 
-        Ages come from mtimes, which disk hits refresh — so the policy
-        is LRU, not FIFO.  Another process may race the unlink; a
-        vanished file just means the eviction already happened.
+    def _evict_disk(self, protect: str) -> None:
+        """Delete least-recently-used entry files until the index fits ``max_bytes``.
+
+        The victims come off the running index, so a put never rescans
+        the directory; the unlinks run outside the lock.  Another
+        process may race an unlink; a vanished file just means the
+        eviction already happened.
         """
         if self.max_bytes is None or self.cache_dir is None:
             return
-        entries = []
-        for path in self.cache_dir.glob(f"*{self.ENTRY_SUFFIX}"):
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            entries.append((st.st_mtime, st.st_size, path))
-        total = sum(size for _, size, _ in entries)
-        protected = f"{protect}{self.ENTRY_SUFFIX}"
-        for _, size, path in sorted(entries):
-            if total <= self.max_bytes:
-                break
-            if path.name == protected:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            total -= size
-            with self._lock:
-                self.stats.disk_evictions += 1
+        doomed = []
+        with self._lock:
+            excess = self._disk_bytes - self.max_bytes
+            for key, size in self._disk_index.items():
+                if excess <= 0:
+                    break
+                if key != protect:
+                    doomed.append(key)
+                    excess -= size
+            for key in doomed:
+                self._index_disk(key, None)
+            self.stats.disk_evictions += len(doomed)
+        for key in doomed:
+            with contextlib.suppress(OSError):
+                os.unlink(self.cache_dir / f"{key}{self.ENTRY_SUFFIX}")
 
     # -------------------------------------------------- disk-tier primitives
 
@@ -485,6 +503,8 @@ class SweepCache:
             with open(path, "rb") as fh:
                 body = fh.read()
         except FileNotFoundError:
+            with self._lock:
+                self._index_disk(key, None)
             return None
         except OSError:
             self._count_disk_error()
@@ -495,9 +515,13 @@ class SweepCache:
             # Corrupt entry: drop it and treat the lookup as a miss.
             with contextlib.suppress(OSError):
                 path.unlink()
+            with self._lock:
+                self._index_disk(key, None)
             return None
         with contextlib.suppress(OSError):
-            os.utime(path)  # refresh LRU age; hot entries survive eviction
+            os.utime(path)  # the next process to open the store sees the hit
+        with self._lock:
+            self._index_disk(key, len(body))
         return arrays
 
     def _disk_put(self, key: str, value: Mapping[str, np.ndarray]) -> None:
@@ -527,6 +551,8 @@ class SweepCache:
         except OSError:
             self._count_disk_error()
             return
+        with self._lock:
+            self._index_disk(key, frame_length(chunks))
         self._evict_disk(protect=key)
 
     # ------------------------------------------------------------ public API
@@ -547,6 +573,19 @@ class SweepCache:
             if hit is not None:
                 self._memory.move_to_end(key)
                 self.stats.memory_hits += 1
+            return hit
+
+    def resident(self, key: str) -> dict[str, np.ndarray] | None:
+        """The memory tier alone, recording nothing.
+
+        For a caller that already counted this request's miss and probes
+        again (the daemon's admission, closing the window between its
+        miss and a round that stored the key since).
+        """
+        with self._lock:
+            hit = self._memory.get(key)
+            if hit is not None:
+                self._memory.move_to_end(key)
             return hit
 
     def lookup_level(

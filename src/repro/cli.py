@@ -59,38 +59,13 @@ import sys
 from pathlib import Path
 
 from repro.errors import InvalidParameterError
+from repro.graph.families import parse_axis
 from repro.machines.bus import BusArchitecture
 from repro.machines.catalog import DEFAULT_MACHINES
 from repro.report.tables import format_kv_block, format_table
 from repro.stencils.library import ALL_STENCILS
 
 __all__ = ["main", "build_parser", "parse_axis"]
-
-
-def parse_axis(spec: str) -> list[int]:
-    """Parse a ``--grid`` axis: ``LO:HI``, ``LO:HI:STEP``, or ``a,b,c``.
-
-    Ranges are inclusive of ``HI`` when the step lands on it, matching
-    what a capacity plan over "64 to 4096 by 64" means.
-    """
-    try:
-        if ":" in spec:
-            parts = [int(p) for p in spec.split(":")]
-            if len(parts) == 2:
-                lo, hi, step = parts[0], parts[1], 1
-            elif len(parts) == 3:
-                lo, hi, step = parts
-            else:
-                raise ValueError("expected LO:HI or LO:HI:STEP")
-            if step < 1 or lo > hi:
-                raise ValueError("need LO <= HI and STEP >= 1")
-            return list(range(lo, hi + 1, step))
-        values = [int(p) for p in spec.split(",") if p.strip()]
-        if not values:
-            raise ValueError("empty axis")
-        return values
-    except ValueError as exc:
-        raise InvalidParameterError(f"bad --grid axis {spec!r}: {exc}") from None
 
 
 def _reject_server_plus_cache(args: argparse.Namespace) -> None:

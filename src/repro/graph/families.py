@@ -72,10 +72,13 @@ __all__ = [
     "Family",
     "REQUIRED",
     "MAX_REPLICAS",
+    "MAX_AXIS_POINTS",
     "register_family",
     "family_for",
     "kinds",
     "axis_values",
+    "axis_range",
+    "parse_axis",
     "machine_label",
     # Parameters the built-in families share, for new declarations.
     "MACHINE",
@@ -113,7 +116,8 @@ class Param:
     wire: str = ""
     #: The default for an absent JSON field, where the builder has none.
     wire_default: Any = REQUIRED
-    #: The JSON value is a list whose elements go through ``int``.
+    #: The JSON value is a list whose elements go through ``int``, or a
+    #: ``LO:HI[:STEP]`` string (:func:`axis_range`).
     integers: bool = False
     #: Canonical value -> its place in the request and compat tuples.
     key: Callable[[Any], Any] = lambda value: value
@@ -213,7 +217,9 @@ class Family:
         """Builder keyword arguments from one JSON request.
 
         Only the wire's own rules apply (required fields, integer
-        lists); :meth:`node` coerces and validates every value.
+        axes); :meth:`node` coerces and validates every value.  An
+        integer axis sent as ``LO:HI[:STEP]`` arrives as a ``range``,
+        bounded by :data:`MAX_AXIS_POINTS` and never built as a list.
         """
         if self.unwire is not None:
             payload = self.unwire(payload)
@@ -233,9 +239,11 @@ class Family:
     def payload(self, *args: Any, **kwargs: Any) -> dict[str, Any]:
         """One JSON request: arguments in builder order, wire defaults.
 
-        Machines and stencils go by catalog name.  The family's own
-        ``unwire`` reads the result back before it is returned, so its
-        bounds refuse a request before anything connects; the daemon
+        Machines and stencils go by catalog name.  An integer axis that
+        is an ascending progression goes as ``LO:HI[:STEP]`` when that
+        string is the shorter form, any other as a list.  The family's
+        own ``unwire`` reads the result back before it is returned, so
+        its bounds refuse a request before anything connects; the daemon
         validates every value.
         """
         values = self.bind(args, kwargs, wire=True)
@@ -245,7 +253,7 @@ class Family:
             if p.to_wire is not None:
                 out.update(p.to_wire(value))
             elif p.integers and value is not None:
-                out[p.field] = list(map(int, value))
+                out[p.field] = _axis_to_wire(value)
             else:
                 out[p.field] = _json(value)
         if self.unwire is not None:
@@ -294,13 +302,104 @@ def kinds() -> tuple[str, ...]:
 # --------------------------------------------------------------------------
 
 
-def _integer_list(values: Any, label: str) -> list[int]:
-    if not isinstance(values, (list, tuple, range)) or not values:
-        raise InvalidParameterError(f"{label} must be a non-empty list")
+#: The most replicas one ``sim_sweep`` request may name, as a
+#: ``replicas`` count or a ``seeds`` list; checked before any seed list
+#: is built, on every route (node, payload, wire).  The largest caller
+#: in the repository asks for 1000.
+MAX_REPLICAS = 100_000
+
+#: The most points one ``LO:HI[:STEP]`` axis may name, on the wire or
+#: the command line; checked before the range is built (a JSON list is
+#: bounded by the daemon's body cap instead).  Ten times
+#: :data:`MAX_REPLICAS`, so a seed axis meets the replica bound first,
+#: and 2000 times the 500-point grid-side axes the benchmarks and
+#: examples in the repository send.
+MAX_AXIS_POINTS = 1_000_000
+
+
+def axis_range(spec: str, label: str) -> range:
+    """A ``LO:HI[:STEP]`` axis as a ``range``, bounded before it is built.
+
+    ``HI`` is inclusive when the step lands on it, matching what a
+    capacity plan over "64 to 4096 by 64" means.
+    """
+    try:
+        parts = [int(p) for p in spec.split(":")]
+        if len(parts) not in (2, 3):
+            raise ValueError("expected LO:HI or LO:HI:STEP")
+        lo, hi, step = parts if len(parts) == 3 else (*parts, 1)
+        if step < 1 or lo > hi:
+            raise ValueError("need LO <= HI and STEP >= 1")
+    except ValueError as exc:
+        raise InvalidParameterError(f"bad {label} axis {spec!r}: {exc}") from None
+    # MAX_AXIS_POINTS is read per call, so a patched bound applies at once.
+    points = (hi - lo) // step + 1
+    if points > MAX_AXIS_POINTS:
+        raise InvalidParameterError(
+            f"at most {MAX_AXIS_POINTS} points per {label} axis, got {points}"
+        )
+    return range(lo, hi + 1, step)
+
+
+def parse_axis(spec: str) -> list[int]:
+    """Parse a ``--grid`` axis: ``LO:HI``, ``LO:HI:STEP``, or ``a,b,c``."""
+    if ":" in spec:
+        return list(axis_range(spec, "--grid"))
+    try:
+        values = [int(p) for p in spec.split(",") if p.strip()]
+    except ValueError as exc:
+        raise InvalidParameterError(f"bad --grid axis {spec!r}: {exc}") from None
+    if not values:
+        raise InvalidParameterError(f"bad --grid axis {spec!r}: empty axis")
+    return values
+
+
+def _integer_list(values: Any, label: str) -> list[int] | range:
+    """A wire integer axis: a list of ints, or a ``range`` left unbuilt."""
+    if isinstance(values, str):
+        return axis_range(values, label)
+    if isinstance(values, range) and values:
+        return values
+    if not isinstance(values, (list, tuple)) or not values:
+        raise InvalidParameterError(f"{label} must be a non-empty list or 'LO:HI[:STEP]'")
     try:
         return [int(v) for v in values]
     except (TypeError, ValueError, OverflowError):
         raise InvalidParameterError(f"{label} must hold integers") from None
+
+
+def _axis_to_wire(values: Any) -> list[int] | str:
+    """An integer axis's wire form: ``LO:HI[:STEP]`` or a list of ints.
+
+    The string goes only for an ascending progression, and only when it
+    is shorter than any JSON list of those values could be (``2n + 1``
+    bytes for ``n`` one-digit values, no spaces).
+    """
+    if not isinstance(values, (range, list)):
+        values = list(values)
+    if len(values) > 1:
+        lo, hi, step = int(values[0]), int(values[-1]), int(values[1]) - int(values[0])
+        # Each value equals its place in the progression, so it is the
+        # int the list would carry.
+        if step >= 1 and (isinstance(values, range) or values == list(range(lo, hi + 1, step))):
+            spec = f"{lo}:{hi}" if step == 1 else f"{lo}:{hi}:{step}"
+            if len(spec) + 2 < 2 * len(values) + 1:
+                return spec
+    return list(map(int, values))
+
+
+def _range_array(axis: range, dtype: Any) -> np.ndarray:
+    """A ``range`` as an int64 or uint64 array, with no Python list.
+
+    Computed modulo 2**64, so it is exact wherever every element fits
+    ``dtype``; callers check the two ends.
+    """
+    steps = np.arange(len(axis), dtype=np.uint64) * np.uint64(axis.step % 2**64)
+    return (steps + np.uint64(axis.start % 2**64)).view(dtype)
+
+
+def _fits_int64(*values: int) -> bool:
+    return all(-(2**63) <= v < 2**63 for v in values)
 
 
 def _number(label: str, convert: Callable[[Any], Any], rule: str = "", check=None):
@@ -327,7 +426,10 @@ def axis_values(label: str, dtype: Any, floor: int = 1) -> Callable[[Any], np.nd
 
     def coerce(values: Any) -> np.ndarray:
         try:
-            out = np.asarray(values, dtype=dtype)
+            if isinstance(values, range) and values and _fits_int64(values[0], values[-1]):
+                out = _range_array(values, np.int64).astype(dtype)
+            else:
+                out = np.asarray(values, dtype=dtype)
         except (TypeError, ValueError, OverflowError):
             raise InvalidParameterError(f"{label} must hold numbers") from None
         if out.ndim != 1 or out.size == 0:
@@ -631,7 +733,7 @@ def _sweep_to_wire(spec: SweepSpec) -> dict[str, Any]:
         if _preset_name(machine) != name:
             raise InvalidParameterError(f"sweep machine {name!r} is not the catalog preset")
     return {
-        "grid_sides": [int(n) for n in spec.grid_sides],
+        "grid_sides": _axis_to_wire(spec.grid_sides),
         "processors": [float(p) for p in spec.processors],
         "machines": [name for name, _ in spec.machines],
         "stencil": _library_name(spec.stencil),
@@ -792,13 +894,6 @@ register_family(
 # Simulation: replica ensembles and model validation
 # --------------------------------------------------------------------------
 
-#: The most replicas one ``sim_sweep`` request may name, as a
-#: ``replicas`` count or a ``seeds`` list; checked before any seed list
-#: is built, on every route (node, payload, wire).  The largest caller
-#: in the repository asks for 1000.
-MAX_REPLICAS = 100_000
-
-
 def _check_replicas(count: int) -> None:
     # MAX_REPLICAS is read per call, so a patched bound applies at once.
     if count > MAX_REPLICAS:
@@ -809,10 +904,14 @@ def _seeds(values: Any) -> np.ndarray:
     # Seeds stay exact Python ints until the final uint64 cast, and are
     # range-checked first: np.asarray would round a list mixing small
     # ints with values past 2**63 through float64, and the cast would
-    # wrap a negative seed.  The count is bounded before any list is built.
+    # wrap a negative seed.  The count is bounded before any list is
+    # built, and a range is checked by its two ends and never listed.
     try:
         _check_replicas(len(values))
-        seeds = [int(s) for s in values]
+        if isinstance(values, range):
+            seeds = [values[0], values[-1]] if values else []
+        else:
+            seeds = [int(s) for s in values]
     except InvalidParameterError:
         raise
     except (TypeError, ValueError):
@@ -822,6 +921,8 @@ def _seeds(values: Any) -> np.ndarray:
     for seed in seeds:
         if not 0 <= seed <= MAX_SEED:
             raise InvalidParameterError(f"seeds must lie in [0, 2**64), got {seed}")
+    if isinstance(values, range):
+        return _range_array(values, np.uint64)
     return np.asarray(seeds, dtype=np.uint64)
 
 

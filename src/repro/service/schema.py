@@ -12,7 +12,12 @@ and :func:`parse_request`.  Each family builds and parses its own
 requests (:meth:`~repro.graph.families.Family.payload`,
 :meth:`~repro.graph.families.Family.parse`) from its declaration,
 which names every wire field once; a client sends
-``family_for(kind).payload(...)``.
+``family_for(kind).payload(...)``.  An integer axis travels as a JSON
+list or, when it is an ascending progression and the string is
+shorter, as the command line's ``"LO:HI[:STEP]"`` (``HI`` inclusive);
+the daemon reads the string as a ``range`` bounded by
+:data:`~repro.graph.families.MAX_AXIS_POINTS`, and both forms name the
+same fingerprint.
 
 Machines and stencils are referenced *by catalog name*.  The server
 resolves them against the same :data:`repro.machines.catalog.DEFAULT_MACHINES`

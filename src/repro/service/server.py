@@ -102,8 +102,10 @@ DEFAULT_READ_TIMEOUT_S = 60.0
 DEFAULT_DRAIN_TIMEOUT_S = 10.0
 
 #: Request-body → fingerprint memo entries kept (LRU).  Bodies are a
-#: few KiB, so the memo is ~1–2 MiB at the cap — cheap insurance that a
-#: warm hit never re-parses and re-hashes an identical request.
+#: few hundred bytes when their integer axes travel as ``LO:HI[:STEP]``
+#: and a few KiB as lists, so the memo is at most ~1–2 MiB at the cap —
+#: cheap insurance that a warm hit never re-parses and re-hashes an
+#: identical request.
 _REQUEST_KEY_MEMO_MAX = 512
 
 
@@ -422,6 +424,9 @@ class ServiceCore:
         acquisition settles admission:
 
         * the fingerprint is already in a round: wait for it (``coalesced``);
+        * the fingerprint is in the memory tier — a round stored it and
+          left after this request's cache probe missed: answer from it
+          (``coalesced``), counting no second hit;
         * the group has a pending round: join it (``batched``);
         * the group is running: open the pending round and lead it once
           the running round is done;
@@ -439,9 +444,10 @@ class ServiceCore:
         group = (node.op, node.compat if node.is_fusable else key)
         running: _Round | None = None
         with self._batch_lock:
-            rounds = self._groups.setdefault(group, [])
+            rounds = self._groups.get(group, [])
             round_ = next((r for r in rounds if key in r.nodes), None)
-            if round_ is not None:
+            stored = None if round_ is not None else self.cache.resident(key)
+            if round_ is not None or stored is not None:
                 served = "coalesced"
             elif len(rounds) == 2:
                 round_ = rounds[1]
@@ -451,7 +457,11 @@ class ServiceCore:
                 running = rounds[0] if rounds else None
                 round_ = _Round(node)
                 rounds.append(round_)
+                self._groups[group] = rounds
                 served = "computed"
+        if stored is not None:
+            self._count(served)
+            return stored, served
         if served != "computed":
             if not round_.done.wait(self.compute_timeout_s):
                 raise ReproError("timed out waiting for an in-flight round")

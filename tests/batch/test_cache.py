@@ -463,6 +463,62 @@ class TestBoundedLRU:
             SweepCache(max_bytes=0)
 
 
+class TestDiskIndex:
+    """Disk eviction runs off an index built once, at open."""
+
+    @staticmethod
+    def _files(directory) -> set[str]:
+        return {p.stem for p in directory.glob(f"*{SUFFIX}")}
+
+    def test_a_put_never_scans_the_store(self, tmp_path, monkeypatch):
+        bound = 4096
+        cache = SweepCache(tmp_path, max_bytes=bound)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a put scanned the store")
+
+        monkeypatch.setattr(os, "scandir", no_scan)
+        monkeypatch.setattr(os, "listdir", no_scan)
+        monkeypatch.setattr(type(tmp_path), "glob", no_scan)
+        monkeypatch.setattr(type(tmp_path), "iterdir", no_scan)
+        for i in range(12):
+            cache.store(f"{i:064x}", _entry(float(i)))
+        monkeypatch.undo()
+        assert sum(p.stat().st_size for p in tmp_path.glob(f"*{SUFFIX}")) <= bound
+        assert cache.stats.disk_evictions > 0 and f"{11:064x}" in self._files(tmp_path)
+
+    def test_open_orders_the_store_by_mtime(self, tmp_path):
+        bound = 3 * len(frame_bytes(_entry(0.0))) + 100
+        writer = SweepCache(tmp_path)
+        keys = ["c" * 64, "a" * 64, "b" * 64]  # oldest first, not in name order
+        for age, key in zip((300, 200, 100), keys):
+            writer.store(key, _entry(1.0))
+            os.utime(tmp_path / f"{key}{SUFFIX}", (time.time() - age,) * 2)
+        SweepCache(tmp_path, max_bytes=bound).store("d" * 64, _entry(2.0))
+        assert self._files(tmp_path) == {"a" * 64, "b" * 64, "d" * 64}
+
+    def test_a_hit_on_a_file_it_did_not_write_joins_the_index(self, tmp_path):
+        bound = 2 * len(frame_bytes(_entry(0.0))) + 100
+        reader = SweepCache(tmp_path, max_bytes=bound)  # opened on an empty store
+        SweepCache(tmp_path).store("a" * 64, _entry(1.0))
+        assert reader.lookup_level("a" * 64)[1] == "disk"
+        reader.store("b" * 64, _entry(2.0))
+        reader.store("c" * 64, _entry(3.0))  # three files: the hit is the oldest
+        assert self._files(tmp_path) == {"b" * 64, "c" * 64}
+        assert reader.stats.disk_evictions == 1
+
+    def test_a_vanished_file_just_leaves_the_index(self, tmp_path):
+        bound = 2 * len(frame_bytes(_entry(0.0))) + 100
+        cache = SweepCache(tmp_path, max_bytes=bound)
+        cache.store("a" * 64, _entry(1.0))
+        cache.store("b" * 64, _entry(2.0))
+        (tmp_path / f"{'a' * 64}{SUFFIX}").unlink()  # another process evicted it
+        cache.store("c" * 64, _entry(3.0))
+        cache.store("d" * 64, _entry(4.0))
+        assert self._files(tmp_path) == {"c" * 64, "d" * 64}
+        assert cache.stats.disk_errors == 0
+
+
 class TestOrphanedTempFiles:
     def test_stale_tmp_files_swept_on_open(self, tmp_path):
         stale = tmp_path / "tmpabc123.npz.tmp"

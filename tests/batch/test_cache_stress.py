@@ -142,3 +142,40 @@ class TestThreadedSweepCache:
         # may exceed it transiently.
         assert len(cache) <= 30
         _assert_byte_total_exact(cache)
+
+    def test_concurrent_puts_and_disk_hits_keep_the_disk_index_exact(self, tmp_path):
+        # Two caches share one store, so each serves disk hits on files
+        # the other wrote while both evict; every put trims only what its
+        # own index knows, and no put ever rescans the directory.
+        entry = sum(a.nbytes for a in _payload(0).values()) + 1024
+        caches = [SweepCache(tmp_path, max_bytes=12 * entry) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        barrier = threading.Barrier(THREADS)
+
+        def worker(seed: int) -> None:
+            cache = caches[seed % 2]
+            barrier.wait()
+            rng = np.random.default_rng(seed)
+            for _ in range(ROUNDS):
+                i = int(rng.integers(0, 40))
+                value = cache.get_or_compute(("disk-stress", i), lambda i=i: _payload(i))
+                assert value["tag"][0] == i
+
+        try:
+            with ThreadPoolExecutor(max_workers=THREADS) as pool:
+                list(pool.map(worker, range(THREADS)))
+        finally:
+            sys.setswitchinterval(interval)
+
+        files = {p.stem: p.stat().st_size for p in tmp_path.glob(f"*{SweepCache.ENTRY_SUFFIX}")}
+        for cache in caches:
+            with cache._lock:
+                assert cache._disk_bytes == sum(cache._disk_index.values())
+                indexed = dict(cache._disk_index)
+            assert cache.stats_snapshot()["disk_evictions"] > 0, "bound never engaged"
+            # A file this cache knows has the size it recorded.
+            for key in files.keys() & indexed.keys():
+                assert files[key] == indexed[key]
+        # Every file left is known to a cache, so some process can evict it.
+        assert files.keys() <= caches[0]._disk_index.keys() | caches[1]._disk_index.keys()

@@ -375,6 +375,36 @@ class TestCoalescing:
         # entry or served from the store the one compute filled.
         assert counts["coalesced"] + counts["memory"] + counts["disk"] == 7
 
+    @pytest.mark.parametrize("tier", ["memory", "disk"])
+    def test_a_miss_that_races_the_leading_round_computes_nothing(
+        self, tier, tmp_path, monkeypatch
+    ):
+        # The interleaving behind the double compute, injected: request B
+        # misses the cache, then request A runs its whole round — compute,
+        # store, leave the admission table — before B reaches admission.
+        core = ServiceCore(cache_dir=str(tmp_path) if tier == "disk" else None)
+        payload = allocation_payload("paper-bus", "9-point-box", "strip", SIDES, integer=True)
+        probe = core.cache.lookup_level
+
+        def miss_then_let_the_leader_finish(key):
+            arrays, level = probe(key)
+            monkeypatch.setattr(core.cache, "lookup_level", probe)
+            assert core.compute_arrays(payload)[1] == "computed"  # request A
+            return arrays, level
+
+        monkeypatch.setattr(core.cache, "lookup_level", miss_then_let_the_leader_finish)
+        arrays, served = core.compute_arrays(payload)  # request B
+        assert served == "coalesced"
+        stats = core.stats_payload()
+        assert (stats["counters"]["computed"], stats["counters"]["coalesced"]) == (1, 1)
+        # B's miss was counted once, at its probe; the re-probe counts nothing.
+        assert (stats["cache"]["misses"], stats["cache"]["memory_hits"]) == (2, 0)
+        assert stats["cache"]["disk_hits"] == 0
+        np.testing.assert_array_equal(
+            arrays["speedup"], core.compute_arrays(payload)[0]["speedup"]
+        )
+        _assert_batching_state_empty(core)
+
     def test_micro_batch_compatible_axes_one_compute(self, server, monkeypatch):
         # Group commit, made deterministic: the first request's
         # evaluation parks, every rider lands in the pending bucket, and
