@@ -202,6 +202,7 @@ class LockRule(Rule):
                 info.requires[method.name] = lock
             in_init = method.name in ("__init__", "__post_init__")
             for node in ast.walk(method):
+                targets: list[ast.expr]
                 if isinstance(node, ast.Assign):
                     targets = node.targets
                 elif isinstance(node, ast.AnnAssign) and node.value is not None:

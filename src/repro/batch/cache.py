@@ -382,7 +382,7 @@ class SweepCache:
         trim.  Fresh temp files are left alone — they may belong to a
         live writer in another process.
         """
-        entries = []
+        entries: list[tuple[float, int, str]] = []
         cutoff = time.time() - ORPHAN_TMP_MAX_AGE_S
         with os.scandir(directory) as scan:
             for entry in scan:
@@ -467,7 +467,7 @@ class SweepCache:
         """
         if self.max_bytes is None or self.cache_dir is None:
             return
-        doomed = []
+        doomed: list[str] = []
         with self._lock:
             excess = self._disk_bytes - self.max_bytes
             for key, size in self._disk_index.items():

@@ -308,36 +308,32 @@ def kinds() -> tuple[str, ...]:
 #: in the repository asks for 1000.
 MAX_REPLICAS = 100_000
 
-#: The most points one ``LO:HI[:STEP]`` axis may name, on the wire or
-#: the command line; checked before the range is built (a JSON list is
-#: bounded by the daemon's body cap instead).  Ten times
-#: :data:`MAX_REPLICAS`, so a seed axis meets the replica bound first,
-#: and 2000 times the 500-point grid-side axes the benchmarks and
-#: examples in the repository send.
+#: The most points one ``LO:HI[:STEP]`` wire axis may name; checked
+#: before the range is built (a JSON list is bounded by the daemon's body
+#: cap instead, and the command line's ``--grid`` by nothing, as before).
+#: Ten times :data:`MAX_REPLICAS`, so a seed axis meets the replica bound
+#: first, and 2000 times the 500-point grid-side axes the benchmarks and
+#: examples in the repository send.  A longer progression goes as a list.
 MAX_AXIS_POINTS = 1_000_000
 
 
 def axis_range(spec: str, label: str) -> range:
-    """A ``LO:HI[:STEP]`` axis as a ``range``, bounded before it is built.
+    """A ``LO:HI[:STEP]`` axis as a ``range``, left unbuilt.
 
     ``HI`` is inclusive when the step lands on it, matching what a
     capacity plan over "64 to 4096 by 64" means.
     """
     try:
         parts = [int(p) for p in spec.split(":")]
-        if len(parts) not in (2, 3):
+        if len(parts) == 2:
+            parts.append(1)
+        if len(parts) != 3:
             raise ValueError("expected LO:HI or LO:HI:STEP")
-        lo, hi, step = parts if len(parts) == 3 else (*parts, 1)
+        lo, hi, step = parts
         if step < 1 or lo > hi:
             raise ValueError("need LO <= HI and STEP >= 1")
     except ValueError as exc:
         raise InvalidParameterError(f"bad {label} axis {spec!r}: {exc}") from None
-    # MAX_AXIS_POINTS is read per call, so a patched bound applies at once.
-    points = (hi - lo) // step + 1
-    if points > MAX_AXIS_POINTS:
-        raise InvalidParameterError(
-            f"at most {MAX_AXIS_POINTS} points per {label} axis, got {points}"
-        )
     return range(lo, hi + 1, step)
 
 
@@ -357,7 +353,15 @@ def parse_axis(spec: str) -> list[int]:
 def _integer_list(values: Any, label: str) -> list[int] | range:
     """A wire integer axis: a list of ints, or a ``range`` left unbuilt."""
     if isinstance(values, str):
-        return axis_range(values, label)
+        axis = axis_range(values, label)
+        # Counted from the ends (len() overflows past 2**63); read per
+        # call, so a patched MAX_AXIS_POINTS applies at once.
+        points = (axis[-1] - axis[0]) // axis.step + 1
+        if points > MAX_AXIS_POINTS:
+            raise InvalidParameterError(
+                f"at most {MAX_AXIS_POINTS} points per {label} axis, got {points}"
+            )
+        return axis
     if isinstance(values, range) and values:
         return values
     if not isinstance(values, (list, tuple)) or not values:
@@ -371,17 +375,24 @@ def _integer_list(values: Any, label: str) -> list[int] | range:
 def _axis_to_wire(values: Any) -> list[int] | str:
     """An integer axis's wire form: ``LO:HI[:STEP]`` or a list of ints.
 
-    The string goes only for an ascending progression, and only when it
-    is shorter than any JSON list of those values could be (``2n + 1``
-    bytes for ``n`` one-digit values, no spaces).
+    The string goes only for an ascending progression of at most
+    :data:`MAX_AXIS_POINTS` points, and only when it is shorter than any
+    JSON list of those values could be (``2n + 1`` bytes for ``n``
+    one-digit values, no spaces).
     """
     if not isinstance(values, (range, list)):
         values = list(values)
-    if len(values) > 1:
-        lo, hi, step = int(values[0]), int(values[-1]), int(values[1]) - int(values[0])
-        # Each value equals its place in the progression, so it is the
-        # int the list would carry.
-        if step >= 1 and (isinstance(values, range) or values == list(range(lo, hi + 1, step))):
+    if 1 < len(values) <= MAX_AXIS_POINTS:
+        lo, hi = int(values[0]), int(values[-1])
+        step = int(values[1]) - lo
+        # The count is checked first, so the list compared against is
+        # never longer than the axis, whatever its span.  A value equal
+        # to its place in the progression is the int the list would carry.
+        if (
+            step >= 1
+            and hi - lo == step * (len(values) - 1)
+            and (isinstance(values, range) or values == list(range(lo, hi + 1, step)))
+        ):
             spec = f"{lo}:{hi}" if step == 1 else f"{lo}:{hi}:{step}"
             if len(spec) + 2 < 2 * len(values) + 1:
                 return spec

@@ -446,8 +446,8 @@ class ServiceCore:
         with self._batch_lock:
             rounds = self._groups.get(group, [])
             round_ = next((r for r in rounds if key in r.nodes), None)
-            stored = None if round_ is not None else self.cache.resident(key)
-            if round_ is not None or stored is not None:
+            resident = None if round_ is not None else self.cache.resident(key)
+            if round_ is not None or resident is not None:
                 served = "coalesced"
             elif len(rounds) == 2:
                 round_ = rounds[1]
@@ -459,9 +459,10 @@ class ServiceCore:
                 rounds.append(round_)
                 self._groups[group] = rounds
                 served = "computed"
-        if stored is not None:
+        if resident is not None:
             self._count(served)
-            return stored, served
+            return resident, served
+        assert round_ is not None  # only a resident hit leaves no round
         if served != "computed":
             if not round_.done.wait(self.compute_timeout_s):
                 raise ReproError("timed out waiting for an in-flight round")

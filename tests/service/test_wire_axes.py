@@ -17,6 +17,7 @@ import pytest
 
 from repro.batch import SweepSpec
 from repro.errors import InvalidParameterError
+from repro.graph import families
 from repro.graph.families import (
     MAX_AXIS_POINTS,
     MAX_REPLICAS,
@@ -167,8 +168,43 @@ def test_an_over_long_axis_is_refused_before_it_is_built():
     # The bound admits every caller's axes, seed ensembles included.
     assert len(axis_range(f"1:{MAX_AXIS_POINTS}", "grid_sides")) == MAX_AXIS_POINTS
     assert MAX_AXIS_POINTS >= MAX_REPLICAS
-    with pytest.raises(InvalidParameterError, match=str(MAX_AXIS_POINTS)):
-        parse_axis(f"1:{MAX_AXIS_POINTS + 1}")
+
+
+def test_the_bound_holds_on_the_wire_only(monkeypatch):
+    monkeypatch.setattr(families, "MAX_AXIS_POINTS", 4)
+    # --grid names as many points as it did before the wire took strings.
+    assert parse_axis("1:6") == [1, 2, 3, 4, 5, 6]
+    # A progression past the bound travels as the list it always did,
+    # and the daemon serves it; one within the bound still goes as a string.
+    curve = family_for("allocation_curve")
+    args = dict(machine="paper-bus", stencil="5-point", kind="square", integer=True)
+    long_axis = curve.payload(**args, grid_sides=range(64, 512, 16))
+    assert long_axis["grid_sides"] == list(range(64, 512, 16))
+    assert ServiceCore().handle_request(
+        "POST", "/v1/compute", json.dumps(long_axis).encode()
+    ).status == 200
+    assert curve.payload(**args, grid_sides=[8, 16, 24, 32])["grid_sides"] == "8:32:8"
+
+
+def test_a_wide_span_list_is_sent_without_listing_its_span():
+    # Three values spanning 2**40: the progression check must not build
+    # the span, and the body is the list, byte for byte.
+    tracemalloc.start()
+    try:
+        for processors in ([1, 2, 2**40], [1, 2, 2**30], list(range(1, 2**62, 2**52)) + [2**62]):
+            payload = family_for("sim_validate").payload("ipsc", n=24, processor_counts=processors)
+            assert json.dumps(payload["processors"]) == json.dumps(processors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert json.dumps(family_for("sim_validate").payload(
+        "ipsc", n=24, processor_counts=[1, 2, 2**40]
+    )) == (
+        '{"kind": "sim_validate", "machine": "ipsc", "stencil": "5-point", '
+        '"partition": "square", "n": 24, "processors": [1, 2, 1099511627776], '
+        '"t_flop": 1e-06, "mode": "barrier"}'
+    )
 
 
 def test_the_benchmark_curve_request_is_a_few_hundred_bytes():
