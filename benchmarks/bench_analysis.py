@@ -10,24 +10,17 @@ perf trajectory is tracked across PRs:
   promises ≥ 50×; typical is well above.
 * **disk hit vs cold compute** — the same sweep served from the sweep
   cache's disk tier by a fresh cache instance (empty memory tier, as
-  after a restart) versus computed without a cache.  Both sides get a
-  warm-up, then interleaved timed repeats; the medians (with quartiles)
-  are compared, and a disk hit must cost less than the recompute it
-  replaces (ratio < 1.0).
+  after a restart) versus computed without a cache.  A disk hit must
+  cost less than the recompute it replaces (ratio < 1.0).
 
-Run as a script (CI's smoke bench) or under pytest:
+Both ratios are taken between medians of interleaved repeats.
 
     PYTHONPATH=src python benchmarks/bench_analysis.py
-    pytest benchmarks/bench_analysis.py -s
 """
 
 from __future__ import annotations
 
-import json
-import sys
 import tempfile
-import time
-from pathlib import Path
 
 import numpy as np
 
@@ -35,20 +28,24 @@ from repro.batch import SweepCache, optimal_allocation_curve
 from repro.core.allocation import optimize_allocation
 from repro.core.parameters import Workload
 from repro.machines.catalog import PAPER_BUS
-from repro.report.csvio import default_results_dir
 from repro.stencils.library import FIVE_POINT
 from repro.stencils.perimeter import PartitionKind
+
+from harness import compare, main
 
 GRID_POINTS = 2000
 
 #: The acceptance bar for the vectorized analysis layer.
 MIN_SPEEDUP = 50.0
+SPEEDUP_REPEATS = 5
 
-#: Untimed runs per side before the timed repeats of the disk-hit bench.
+#: Untimed rounds before the timed repeats of the disk-hit bench.
 WARMUP = 5
 REPEATS = 31
 #: A disk hit must cost less than recomputing the curve it stores.
 MAX_DISK_HIT_RATIO = 1.0
+
+KIND = PartitionKind.SQUARE
 
 
 def _axis() -> list[int]:
@@ -63,129 +60,97 @@ def _axis() -> list[int]:
     return sorted(sides[:GRID_POINTS])
 
 
-def bench_vectorized() -> dict:
-    """Time the capacity-planning sweep both ways and check they agree."""
-    sides = _axis()
-    kind = PartitionKind.SQUARE
-
-    start = time.perf_counter()
-    curve = optimal_allocation_curve(
-        PAPER_BUS, FIVE_POINT, kind, sides, integer=True
+def _curve(sides: list[int], cache: SweepCache | None):
+    return optimal_allocation_curve(
+        PAPER_BUS, FIVE_POINT, KIND, sides, integer=True, cache=cache
     )
-    vectorized_s = time.perf_counter() - start
 
-    start = time.perf_counter()
-    scalar_speedup = np.empty(len(sides))
-    scalar_area = np.empty(len(sides))
+
+def _scalar(sides: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    speedup = np.empty(len(sides))
+    area = np.empty(len(sides))
     for i, n in enumerate(sides):
         alloc = optimize_allocation(
-            PAPER_BUS, Workload(n=n, stencil=FIVE_POINT), kind, integer=True
+            PAPER_BUS, Workload(n=n, stencil=FIVE_POINT), KIND, integer=True
         )
-        scalar_speedup[i] = alloc.speedup
-        scalar_area[i] = alloc.area
-    scalar_s = time.perf_counter() - start
+        speedup[i] = alloc.speedup
+        area[i] = alloc.area
+    return speedup, area
 
-    np.testing.assert_array_equal(curve.speedup, scalar_speedup)
-    np.testing.assert_array_equal(curve.area, scalar_area)
+
+def bench_vectorized(sides: list[int]) -> dict:
+    """Time the capacity-planning sweep both ways and check they agree."""
+
+    def check(_context, outputs: dict) -> None:
+        speedup, area = outputs["scalar"]
+        np.testing.assert_array_equal(outputs["vectorized"].speedup, speedup)
+        np.testing.assert_array_equal(outputs["vectorized"].area, area)
+
+    timed = compare(
+        {"scalar": lambda _: _scalar(sides), "vectorized": lambda _: _curve(sides, None)},
+        repeats=SPEEDUP_REPEATS,
+        check=check,
+    )
     return {
         "points": len(sides),
         "machine": "paper-bus",
-        "scalar_seconds": scalar_s,
-        "vectorized_seconds": vectorized_s,
-        "speedup": scalar_s / vectorized_s,
+        "scalar_seconds": timed["scalar"],
+        "vectorized_seconds": timed["vectorized"],
+        "speedup": timed["scalar"]["median"] / timed["vectorized"]["median"],
     }
 
 
-def _quartiles_ms(seconds: list[float]) -> dict:
-    q1, median, q3 = np.percentile(np.asarray(seconds) * 1e3, [25, 50, 75])
-    return {"median_ms": float(median), "q1_ms": float(q1), "q3_ms": float(q3)}
-
-
-def bench_disk_hit() -> dict:
+def bench_disk_hit(sides: list[int]) -> dict:
     """Disk hit (fresh cache, warm store) vs cold compute, same curve."""
-    sides = _axis()
-    kind = PartitionKind.SQUARE
-
-    def curve(cache: SweepCache | None):
-        return optimal_allocation_curve(
-            PAPER_BUS, FIVE_POINT, kind, sides, integer=True, cache=cache
-        )
-
-    cold_s: list[float] = []
-    hit_s: list[float] = []
     disk_hits = 0
     with tempfile.TemporaryDirectory() as tmp:
-        reference = curve(SweepCache(tmp))  # fills the store
-        for i in range(WARMUP + REPEATS):
-            start = time.perf_counter()
-            computed = curve(None)
-            cold = time.perf_counter() - start
+        reference = _curve(sides, SweepCache(tmp))  # fills the store
 
-            fresh = SweepCache(tmp)  # empty memory tier, same store
-            start = time.perf_counter()
-            served = curve(fresh)
-            hit = time.perf_counter() - start
-
-            np.testing.assert_array_equal(computed.speedup, reference.speedup)
-            np.testing.assert_array_equal(served.speedup, reference.speedup)
-            assert served.regime == reference.regime
+        def check(fresh: SweepCache, outputs: dict) -> None:
+            nonlocal disk_hits
+            np.testing.assert_array_equal(outputs["cold"].speedup, reference.speedup)
+            np.testing.assert_array_equal(outputs["hit"].speedup, reference.speedup)
+            assert outputs["hit"].regime == reference.regime
             disk_hits += fresh.stats.disk_hits == 1 and fresh.stats.misses == 0
-            if i >= WARMUP:
-                cold_s.append(cold)
-                hit_s.append(hit)
-    cold_ms = _quartiles_ms(cold_s)
-    hit_ms = _quartiles_ms(hit_s)
+
+        timed = compare(
+            {"cold": lambda _: _curve(sides, None), "hit": lambda fresh: _curve(sides, fresh)},
+            repeats=REPEATS,
+            warmup=WARMUP,
+            setup=lambda _: SweepCache(tmp),  # empty memory tier, same store
+            check=check,
+        )
     return {
         "points": len(sides),
-        "warmup": WARMUP,
-        "repeats": REPEATS,
-        "cold_compute": cold_ms,
-        "disk_hit": hit_ms,
-        "ratio": hit_ms["median_ms"] / cold_ms["median_ms"],
+        "cold_compute": timed["cold"],
+        "disk_hit": timed["hit"],
+        "ratio": timed["hit"]["median"] / timed["cold"]["median"],
         "max_ratio": MAX_DISK_HIT_RATIO,
         "all_disk_hits": disk_hits == WARMUP + REPEATS,
     }
 
 
-def _disk_hit_ok(disk: dict) -> bool:
-    return disk["all_disk_hits"] and disk["ratio"] < disk["max_ratio"]
-
-
-def run_bench(output_path: Path | None = None) -> dict:
-    payload = {
-        "bench": "analysis",
-        "vectorized_analysis": bench_vectorized(),
-        "disk_hit_vs_cold": bench_disk_hit(),
+def measure() -> dict:
+    sides = _axis()
+    return {
+        "vectorized_analysis": bench_vectorized(sides),
+        "disk_hit_vs_cold": bench_disk_hit(sides),
+        "min_speedup": MIN_SPEEDUP,
     }
-    path = output_path or (default_results_dir() / "BENCH_analysis.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    payload["path"] = str(path)
-    return payload
 
 
-def test_bench_analysis(results_dir):
-    payload = run_bench(results_dir / "BENCH_analysis.json")
-    print()
-    print(json.dumps(payload, indent=2))
-    analysis = payload["vectorized_analysis"]
-    assert analysis["speedup"] >= MIN_SPEEDUP, analysis
-    disk = payload["disk_hit_vs_cold"]
-    assert _disk_hit_ok(disk), disk
+def gates(figures: dict) -> list[tuple[str, bool]]:
+    speedup = figures["vectorized_analysis"]["speedup"]
+    disk = figures["disk_hit_vs_cold"]
+    return [
+        (f"vectorized analysis {speedup:.1f}x >= {MIN_SPEEDUP:g}x", speedup >= MIN_SPEEDUP),
+        (
+            f"disk hit {disk['ratio']:.2f}x cold compute < {MAX_DISK_HIT_RATIO:g}x",
+            disk["ratio"] < MAX_DISK_HIT_RATIO,
+        ),
+        ("every disk-hit round was a pure disk hit", disk["all_disk_hits"]),
+    ]
 
 
 if __name__ == "__main__":
-    report = run_bench()
-    json.dump(report, sys.stdout, indent=2)
-    print()
-    disk = report["disk_hit_vs_cold"]
-    ok = report["vectorized_analysis"]["speedup"] >= MIN_SPEEDUP and _disk_hit_ok(disk)
-    print(
-        f"vectorized analysis {report['vectorized_analysis']['speedup']:.1f}x "
-        f"(gate >= {MIN_SPEEDUP:g}x); disk hit "
-        f"{disk['disk_hit']['median_ms']:.2f} ms vs cold compute "
-        f"{disk['cold_compute']['median_ms']:.2f} ms = {disk['ratio']:.2f} "
-        f"(gate < {disk['max_ratio']:g}, {'all hits' if disk['all_disk_hits'] else 'MISSES'}) "
-        f"[{'PASS' if ok else 'FAIL'}]"
-    )
-    sys.exit(0 if ok else 1)
+    main("analysis", measure, gates)

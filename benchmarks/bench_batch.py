@@ -4,34 +4,33 @@ A 200×200 (N, P) grid across the four architecture families
 (hypercube, mesh, bus, banyan) through ``run_sweep`` versus the
 equivalent scalar ``cycle_time`` loop, recorded to
 ``results/BENCH_batch.json`` so the perf trajectory is tracked.  The
-engine promises ≥ 10×; typical is well above.
-
-Run as a script (CI's smoke bench) or under pytest:
+engine promises ≥ 10× (median over median); typical is well above.
 
     PYTHONPATH=src python benchmarks/bench_batch.py
-    pytest benchmarks/bench_batch.py -s
 """
 
 from __future__ import annotations
-
-import json
-import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.batch import SweepSpec, run_sweep
 from repro.core.parameters import Workload
 from repro.machines.catalog import DEFAULT_MACHINES
-from repro.report.csvio import default_results_dir
 from repro.stencils.library import FIVE_POINT
 from repro.stencils.perimeter import PartitionKind
+
+from harness import compare, main
 
 #: One preset per architecture family of the paper.
 MACHINES = ("ipsc", "fem", "paper-bus", "butterfly")
 
 GRID_POINTS = 200
+
+#: The acceptance bar: vectorized over per-point.
+MIN_SPEEDUP = 10.0
+
+#: The scalar arm takes seconds a call: the fewest repeats with a median.
+REPEATS = 3
 
 
 def _axes() -> tuple[list[int], list[float]]:
@@ -49,19 +48,8 @@ def _axes() -> tuple[list[int], list[float]]:
     return sides, procs.tolist()
 
 
-def bench_vectorized() -> dict:
-    """Time the dense sweep both ways and check they agree."""
-    sides, procs = _axes()
-    spec = SweepSpec.across_catalog(
-        sides, procs, machines=MACHINES, stencil=FIVE_POINT, kind=PartitionKind.SQUARE
-    )
-
-    start = time.perf_counter()
-    result = run_sweep(spec)
-    vectorized_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    scalar = {}
+def _scalar(sides: list[int], procs: list[float]) -> dict[str, np.ndarray]:
+    surfaces = {}
     for name in MACHINES:
         machine = DEFAULT_MACHINES[name]
         surface = np.empty((len(sides), len(procs)))
@@ -75,48 +63,45 @@ def bench_vectorized() -> dict:
                     surface[i, j] = machine.cycle_time(
                         w, PartitionKind.SQUARE, w.grid_points / p
                     )
-        scalar[name] = surface
-    scalar_s = time.perf_counter() - start
+        surfaces[name] = surface
+    return surfaces
 
+
+def _check(_context, outputs: dict) -> None:
     for name in MACHINES:
-        np.testing.assert_array_equal(result.cycle_time(name), scalar[name])
+        np.testing.assert_array_equal(
+            outputs["vectorized"].cycle_time(name), outputs["scalar"][name]
+        )
+
+
+def measure() -> dict:
+    """Time the dense sweep both ways and check they agree."""
+    sides, procs = _axes()
+    spec = SweepSpec.across_catalog(
+        sides, procs, machines=MACHINES, stencil=FIVE_POINT, kind=PartitionKind.SQUARE
+    )
+    timed = compare(
+        {"scalar": lambda _: _scalar(sides, procs), "vectorized": lambda _: run_sweep(spec)},
+        repeats=REPEATS,
+        check=_check,
+    )
     return {
-        "grid": [len(sides), len(procs)],
-        "machines": list(MACHINES),
-        "cells": len(sides) * len(procs) * len(MACHINES),
-        "scalar_seconds": scalar_s,
-        "vectorized_seconds": vectorized_s,
-        "speedup": scalar_s / vectorized_s,
+        "vectorized_sweep": {
+            "grid": [len(sides), len(procs)],
+            "machines": list(MACHINES),
+            "cells": len(sides) * len(procs) * len(MACHINES),
+            "scalar_seconds": timed["scalar"],
+            "vectorized_seconds": timed["vectorized"],
+            "speedup": timed["scalar"]["median"] / timed["vectorized"]["median"],
+        },
+        "min_speedup": MIN_SPEEDUP,
     }
 
 
-def run_bench(output_path: Path | None = None) -> dict:
-    payload = {
-        "bench": "batch",
-        "vectorized_sweep": bench_vectorized(),
-    }
-    path = output_path or (default_results_dir() / "BENCH_batch.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    payload["path"] = str(path)
-    return payload
-
-
-def test_bench_batch(results_dir):
-    payload = run_bench(results_dir / "BENCH_batch.json")
-    print()
-    print(json.dumps(payload, indent=2))
-    sweep = payload["vectorized_sweep"]
-    # The acceptance bar: a 200x200 (N, P) sweep across the four
-    # architectures is at least 10x faster vectorized than per-point.
-    assert sweep["speedup"] >= 10.0, sweep
+def gates(figures: dict) -> list[tuple[str, bool]]:
+    speedup = figures["vectorized_sweep"]["speedup"]
+    return [(f"vectorized speedup {speedup:.1f}x >= {MIN_SPEEDUP:g}x", speedup >= MIN_SPEEDUP)]
 
 
 if __name__ == "__main__":
-    report = run_bench()
-    json.dump(report, sys.stdout, indent=2)
-    print()
-    ok = report["vectorized_sweep"]["speedup"] >= 10.0
-    print(f"vectorized speedup {report['vectorized_sweep']['speedup']:.1f}x "
-          f"({'PASS' if ok else 'FAIL'} >= 10x)")
-    sys.exit(0 if ok else 1)
+    main("batch", measure, gates)

@@ -16,18 +16,10 @@ planner's wins are tracked across PRs:
   the node instances across the forest are answered by an
   already-planned node instead of becoming new work.
 
-Run as a script (CI's smoke bench) or under pytest:
-
     PYTHONPATH=src python benchmarks/bench_graph.py
-    pytest benchmarks/bench_graph.py -s
 """
 
 from __future__ import annotations
-
-import json
-import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
@@ -35,13 +27,17 @@ from repro.batch.engine import SweepSpec
 from repro.graph import nodes, plan
 from repro.graph.planner import evaluate
 from repro.machines.catalog import DEFAULT_MACHINES, PAPER_BUS
-from repro.report.csvio import default_results_dir
 from repro.stencils.library import FIVE_POINT, NINE_POINT_BOX
 from repro.stencils.perimeter import PartitionKind
+
+from harness import compare, main
 
 #: The acceptance bar: fraction of node instances across the request
 #: forest that dedup onto an already-planned node.
 MIN_DEDUP_RATE = 0.90
+
+#: Timed rounds of the fusion arms, after one warm-up.
+REPEATS = 21
 
 SQUARE = PartitionKind.SQUARE
 
@@ -82,30 +78,35 @@ def _mixed_requests() -> list:
 
 
 def bench_fusion() -> dict:
-    """Plan a mixed batch once; compare against one-request-at-a-time."""
-    batch = _mixed_requests()
+    """Plan a mixed batch once; compare against one-request-at-a-time.
 
-    start = time.perf_counter()
-    fused_plan = plan(batch)
-    fused_results = fused_plan.execute()
-    fused_s = time.perf_counter() - start
+    Each round plans freshly built requests on both arms, since a node
+    keeps its fingerprint once computed.
+    """
+    fused_plan = plan(_mixed_requests())
 
-    start = time.perf_counter()
-    solo_results = [evaluate([node])[0] for node in _mixed_requests()]
-    solo_s = time.perf_counter() - start
+    def check(_requests, outputs: dict) -> None:
+        # The fused slices must equal the solo evaluations bit for bit.
+        for fused, solo in zip(outputs["fused"], outputs["solo"]):
+            for name in solo:
+                np.testing.assert_array_equal(fused[name], solo[name])
 
-    # The fused slices must equal the solo evaluations bit for bit.
-    for fused, solo in zip(fused_results, solo_results):
-        for name in solo:
-            np.testing.assert_array_equal(fused[name], solo[name])
-
+    timed = compare(
+        {
+            "fused": lambda requests: plan(requests[0]).execute(),
+            "solo": lambda requests: [evaluate([node])[0] for node in requests[1]],
+        },
+        repeats=REPEATS,
+        setup=lambda _: (_mixed_requests(), _mixed_requests()),
+        check=check,
+    )
     return {
         "requests": fused_plan.n_requests,
         "evaluations": fused_plan.evaluations,
         "siblings_fused": fused_plan.siblings_fused,
-        "fused_seconds": fused_s,
-        "solo_seconds": solo_s,
-        "speedup": solo_s / fused_s if fused_s else float("inf"),
+        "fused_seconds": timed["fused"],
+        "solo_seconds": timed["solo"],
+        "speedup": timed["solo"]["median"] / timed["fused"]["median"],
     }
 
 
@@ -120,11 +121,7 @@ def bench_dedup() -> dict:
         forest.append(nodes.allocation_curve(cube, FIVE_POINT, SQUARE, sides))
         forest.append(nodes.allocation_curve(PAPER_BUS, FIVE_POINT, SQUARE, sides))
 
-    start = time.perf_counter()
     p = plan(forest)
-    p.execute()
-    elapsed = time.perf_counter() - start
-
     instances = sum(planned.instances for planned in p.nodes)
     deduped = p.subgraphs_deduped
     return {
@@ -134,46 +131,28 @@ def bench_dedup() -> dict:
         "subgraphs_deduped": deduped,
         "dedup_rate": deduped / instances if instances else 0.0,
         "evaluations": p.evaluations,
-        "elapsed_seconds": elapsed,
     }
 
 
-def run_bench(output_path: Path | None = None) -> dict:
-    payload = {
-        "bench": "graph",
-        "fusion": bench_fusion(),
-        "dedup": bench_dedup(),
-        "min_dedup_rate": MIN_DEDUP_RATE,
-    }
-    path = output_path or (default_results_dir() / "BENCH_graph.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    payload["path"] = str(path)
-    return payload
+def measure() -> dict:
+    return {"fusion": bench_fusion(), "dedup": bench_dedup(), "min_dedup_rate": MIN_DEDUP_RATE}
 
 
-def test_bench_graph(results_dir):
-    payload = run_bench(results_dir / "BENCH_graph.json")
-    print()
-    print(json.dumps(payload, indent=2))
-    fusion = payload["fusion"]
-    assert fusion["evaluations"] < fusion["requests"], fusion
-    assert fusion["siblings_fused"] > 0, fusion
-    dedup = payload["dedup"]
-    assert dedup["dedup_rate"] >= MIN_DEDUP_RATE, dedup
+def gates(figures: dict) -> list[tuple[str, bool]]:
+    fusion, dedup = figures["fusion"], figures["dedup"]
+    return [
+        (
+            f"fusion: {fusion['requests']} requests -> {fusion['evaluations']} evaluations",
+            fusion["evaluations"] < fusion["requests"],
+        ),
+        (f"fusion: {fusion['siblings_fused']} siblings fused > 0", fusion["siblings_fused"] > 0),
+        (
+            f"dedup rate {dedup['dedup_rate']:.3f} over {dedup['node_instances']} "
+            f"node instances >= {MIN_DEDUP_RATE}",
+            dedup["dedup_rate"] >= MIN_DEDUP_RATE,
+        ),
+    ]
 
 
 if __name__ == "__main__":
-    report = run_bench()
-    json.dump(report, sys.stdout, indent=2)
-    print()
-    fusion, dedup = report["fusion"], report["dedup"]
-    fusion_ok = fusion["evaluations"] < fusion["requests"]
-    dedup_ok = dedup["dedup_rate"] >= MIN_DEDUP_RATE
-    print(
-        f"fusion: {fusion['requests']} requests -> {fusion['evaluations']} "
-        f"evaluations ({'PASS' if fusion_ok else 'FAIL'}); "
-        f"dedup rate {dedup['dedup_rate']:.3f} over {dedup['node_instances']} "
-        f"node instances ({'PASS' if dedup_ok else 'FAIL'} >= {MIN_DEDUP_RATE})"
-    )
-    sys.exit(0 if fusion_ok and dedup_ok else 1)
+    main("graph", measure, gates)

@@ -10,22 +10,18 @@ simulator's win is tracked across PRs:
   The two are asserted bit-equal first; the gate is the speedup:
   the lockstep path must be at least ``MIN_SPEEDUP`` times faster.
 * **warm cache** — the same ensemble, as its ``sim_sweep`` graph node,
-  planned twice through ``repro.graph.evaluate`` against a fresh store:
-  the second call must be answered by the cache (a memory hit), and its
-  wall time is reported next to the cold compute.
+  through ``repro.graph.evaluate``: a repeat against a store that
+  already holds it must be answered by the cache (a memory hit), and
+  faster than the cold compute-and-store into a fresh store.
 
-Run as a script (CI's smoke bench) or under pytest:
+Both comparisons read medians of interleaved repeats.
 
     PYTHONPATH=src python benchmarks/bench_sim.py
-    pytest benchmarks/bench_sim.py -s
 """
 
 from __future__ import annotations
 
-import json
-import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -34,16 +30,22 @@ from repro.batch.cache import SweepCache
 from repro.batch.sim import ReplicaBatchSpec, simulate_replicas
 from repro.graph import evaluate, nodes
 from repro.machines.catalog import DEFAULT_MACHINES
-from repro.report.csvio import default_results_dir
 from repro.sim.replica import simulate_replica
 from repro.stencils.library import FIVE_POINT
 from repro.stencils.perimeter import PartitionKind
+
+from harness import compare, main
 
 #: The acceptance bar: lockstep advance over scalar event replay.
 MIN_SPEEDUP = 50.0
 
 #: Ensemble size for the gate (the ISSUE's floor is 1000 replicas).
 REPLICAS = 1000
+
+#: Timed rounds per block, after one warm-up; the scalar arm takes
+#: about a third of a second a call.
+SPEEDUP_REPEATS = 5
+CACHE_REPEATS = 21
 
 SQUARE = PartitionKind.SQUARE
 
@@ -55,116 +57,107 @@ def _ensemble() -> ReplicaBatchSpec:
     )
 
 
-def bench_batched_vs_scalar() -> dict:
+def bench_batched_vs_scalar(spec: ReplicaBatchSpec) -> dict:
     """One lockstep call against replica-by-replica event replay."""
-    spec = _ensemble()
-    simulate_replicas(spec)  # warm imports / allocator before timing
 
-    start = time.perf_counter()
-    batched = simulate_replicas(spec)
-    batched_s = time.perf_counter() - start
+    def scalar(_) -> np.ndarray:
+        return np.asarray(
+            [
+                simulate_replica(
+                    spec.machine,
+                    spec.grid_sides[i],
+                    spec.processors[i],
+                    spec.stencil,
+                    spec.seeds[i],
+                    kind=spec.kind,
+                    t_flop=spec.t_flop,
+                    mode=spec.mode,
+                    jitter=spec.jitter,
+                ).cycle_time
+                for i in range(len(spec.seeds))
+            ],
+            dtype=np.float64,
+        )
 
-    start = time.perf_counter()
-    scalar = [
-        simulate_replica(
-            spec.machine,
-            spec.grid_sides[i],
-            spec.processors[i],
-            spec.stencil,
-            spec.seeds[i],
-            kind=spec.kind,
-            t_flop=spec.t_flop,
-            mode=spec.mode,
-            jitter=spec.jitter,
-        ).cycle_time
-        for i in range(len(spec.seeds))
-    ]
-    scalar_s = time.perf_counter() - start
+    def check(_context, outputs: dict) -> None:
+        # The speedup only counts if the answers are the same answer.
+        np.testing.assert_array_equal(outputs["batched"].cycle_times, outputs["scalar"])
 
-    # The speedup only counts if the answers are the same answer.
-    np.testing.assert_array_equal(
-        batched.cycle_times, np.asarray(scalar, dtype=np.float64)
+    timed = compare(
+        {"batched": lambda _: simulate_replicas(spec), "scalar": scalar},
+        repeats=SPEEDUP_REPEATS,
+        check=check,
     )
-
     return {
         "replicas": REPLICAS,
-        "batched_seconds": batched_s,
-        "scalar_seconds": scalar_s,
-        "speedup": scalar_s / batched_s if batched_s else float("inf"),
+        "batched_seconds": timed["batched"],
+        "scalar_seconds": timed["scalar"],
+        "speedup": timed["scalar"]["median"] / timed["batched"]["median"],
     }
 
 
-def bench_warm_cache() -> dict:
-    """Cold compute-and-store, then the same request as a cache hit."""
-    spec = _ensemble()
+def bench_warm_cache(spec: ReplicaBatchSpec) -> dict:
+    """Cold compute-and-store into a fresh store vs a hit on a warm one."""
     node = nodes.sim_sweep(
         spec.machine, spec.stencil, spec.kind, spec.grid_sides[0], spec.processors[0],
         spec.seeds, jitter=spec.jitter,
     )
     with tempfile.TemporaryDirectory() as tmp:
-        cache = SweepCache(cache_dir=tmp)
+        warm_cache = SweepCache(cache_dir=Path(tmp) / "warm")
+        evaluate([node], cache=warm_cache)  # the one miss: fills the store
 
-        start = time.perf_counter()
-        (cold,) = evaluate([node], cache=cache)
-        cold_s = time.perf_counter() - start
+        def check(_fresh, outputs: dict) -> None:
+            ((cold,), (warm,)) = outputs["cold"], outputs["warm"]
+            np.testing.assert_array_equal(cold["cycle_times"], warm["cycle_times"])
 
-        start = time.perf_counter()
-        (warm,) = evaluate([node], cache=cache)
-        warm_s = time.perf_counter() - start
-
-        np.testing.assert_array_equal(cold["cycle_times"], warm["cycle_times"])
-        snapshot = cache.stats_snapshot()
+        timed = compare(
+            {
+                "cold": lambda fresh: evaluate([node], cache=fresh),
+                "warm": lambda _: evaluate([node], cache=warm_cache),
+            },
+            repeats=CACHE_REPEATS,
+            setup=lambda i: SweepCache(cache_dir=Path(tmp) / f"cold-{i}"),
+            check=check,
+        )
+        snapshot = warm_cache.stats_snapshot()
 
     return {
-        "cold_seconds": cold_s,
-        "warm_seconds": warm_s,
-        "hit_speedup": cold_s / warm_s if warm_s else float("inf"),
+        "cold_seconds": timed["cold"],
+        "warm_seconds": timed["warm"],
+        "hit_speedup": timed["cold"]["median"] / timed["warm"]["median"],
         "memory_hits": snapshot["memory_hits"],
         "disk_hits": snapshot["disk_hits"],
         "misses": snapshot["misses"],
     }
 
 
-def run_bench(output_path: Path | None = None) -> dict:
-    payload = {
-        "bench": "sim",
-        "batched_vs_scalar": bench_batched_vs_scalar(),
-        "warm_cache": bench_warm_cache(),
+def measure() -> dict:
+    spec = _ensemble()
+    return {
+        "batched_vs_scalar": bench_batched_vs_scalar(spec),
+        "warm_cache": bench_warm_cache(spec),
         "min_speedup": MIN_SPEEDUP,
     }
-    path = output_path or (default_results_dir() / "BENCH_sim.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    payload["path"] = str(path)
-    return payload
 
 
-def test_bench_sim(results_dir):
-    payload = run_bench(results_dir / "BENCH_sim.json")
-    print()
-    print(json.dumps(payload, indent=2))
-    batch = payload["batched_vs_scalar"]
-    assert batch["speedup"] >= MIN_SPEEDUP, batch
-    warm = payload["warm_cache"]
-    assert warm["memory_hits"] + warm["disk_hits"] >= 1, warm
-    assert warm["warm_seconds"] < warm["cold_seconds"], warm
+def gates(figures: dict) -> list[tuple[str, bool]]:
+    batch, warm = figures["batched_vs_scalar"], figures["warm_cache"]
+    return [
+        (
+            f"batched vs scalar: {batch['speedup']:.1f}x over {batch['replicas']} "
+            f"replicas >= {MIN_SPEEDUP:g}x",
+            batch["speedup"] >= MIN_SPEEDUP,
+        ),
+        (
+            f"warm cache: {warm['memory_hits'] + warm['disk_hits']} hits >= 1",
+            warm["memory_hits"] + warm["disk_hits"] >= 1,
+        ),
+        (
+            f"warm cache: hit {warm['hit_speedup']:.1f}x faster than cold compute",
+            warm["warm_seconds"]["median"] < warm["cold_seconds"]["median"],
+        ),
+    ]
 
 
 if __name__ == "__main__":
-    report = run_bench()
-    json.dump(report, sys.stdout, indent=2)
-    print()
-    batch, warm = report["batched_vs_scalar"], report["warm_cache"]
-    batch_ok = batch["speedup"] >= MIN_SPEEDUP
-    warm_ok = (
-        warm["memory_hits"] + warm["disk_hits"] >= 1
-        and warm["warm_seconds"] < warm["cold_seconds"]
-    )
-    print(
-        f"batched vs scalar: {batch['speedup']:.1f}x over "
-        f"{batch['replicas']} replicas "
-        f"({'PASS' if batch_ok else 'FAIL'} >= {MIN_SPEEDUP:g}); "
-        f"warm cache: {warm['hit_speedup']:.1f}x hit "
-        f"({'PASS' if warm_ok else 'FAIL'})"
-    )
-    sys.exit(0 if batch_ok and warm_ok else 1)
+    main("sim", measure, gates)

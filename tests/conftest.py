@@ -1,6 +1,8 @@
-"""Shared fixtures: canonical workloads and machines used across tests."""
+"""Shared fixtures: canonical workloads and machines, and the lint report."""
 
 from __future__ import annotations
+
+import copy
 
 import pytest
 
@@ -48,3 +50,20 @@ def mesh() -> MeshGrid:
 @pytest.fixture
 def banyan() -> BanyanNetwork:
     return BanyanNetwork(w=2e-7)
+
+
+@pytest.fixture(scope="session")
+def _lint_report_once():
+    from repro.analyze import lint_tree
+
+    return lint_tree()
+
+
+@pytest.fixture
+def lint_report(_lint_report_once):
+    """The shipped tree's lint report, computed once per session.
+
+    Each test gets a deep copy, so no test can change what the next
+    one reads.
+    """
+    return copy.deepcopy(_lint_report_once)

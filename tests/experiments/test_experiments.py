@@ -10,23 +10,23 @@ import math
 import pytest
 
 import repro.experiments  # noqa: F401 — registers everything
-from repro.experiments.registry import all_experiments, get_experiment
+from repro.experiments.registry import all_experiments
 
 
 class TestAllRun:
     @pytest.mark.parametrize("exp_id", sorted(all_experiments()))
-    def test_runs_and_renders(self, exp_id):
+    def test_runs_and_renders(self, experiment, exp_id):
         if exp_id.startswith("E-TEST"):
             pytest.skip("registry-test fixture entry")
-        result = get_experiment(exp_id)()
+        result = experiment(exp_id)
         assert result.experiment_id == exp_id
         assert result.tables, f"{exp_id} produced no tables"
         assert result.render()
 
 
 class TestKTable:
-    def test_paper_k_values(self):
-        result = get_experiment("E-KTAB")()
+    def test_paper_k_values(self, experiment):
+        result = experiment("E-KTAB")
         rows = {(r[0], r[1]): r[2] for r in result.table("k values").rows}
         assert rows[("strip", "5-point")] == 1
         assert rows[("square", "9-point-box")] == 1
@@ -35,9 +35,9 @@ class TestKTable:
         assert rows[("strip", "13-point")] == 2
         assert rows[("square", "13-point")] == 2
 
-    def test_stencil_properties(self):
+    def test_stencil_properties(self, experiment):
         """Figures 1 and 3: E(S), diagonal reads and reach."""
-        result = get_experiment("E-KTAB")()
+        result = experiment("E-KTAB")
         props = {row[0]: row for row in result.table("stencil properties").rows}
         assert props["5-point"][1] == 5.0
         assert props["9-point-box"][3] == "yes"
@@ -45,17 +45,17 @@ class TestKTable:
 
 
 class TestFigure6:
-    def test_error_bounds(self):
-        result = get_experiment("E-FIG6")()
+    def test_error_bounds(self, experiment):
+        result = experiment("E-FIG6")
         for row in result.table("summary").rows:
             frac_area_ok = row[4]
             frac_perim_ok = row[7]
             assert frac_area_ok >= 0.85
             assert frac_perim_ok >= 0.85
 
-    def test_series_covers_the_256_sweep(self):
+    def test_series_covers_the_256_sweep(self, experiment):
         """Every even target area in [1024, 16384]: Figure 6's bars."""
-        result = get_experiment("E-FIG6")()
+        result = experiment("E-FIG6")
         series = result.table("series n=256")
         assert len(series.rows) == 7681
         assert series.rows[0][0] == 1024
@@ -65,8 +65,8 @@ class TestFigure6:
 
 
 class TestFigure7:
-    def test_anchor_row(self):
-        result = get_experiment("E-FIG7")()
+    def test_anchor_row(self, experiment):
+        result = experiment("E-FIG7")
         anchor = result.table(
             "Section 6.1 anchor: max useful processors on 256x256 squares"
         )
@@ -75,16 +75,16 @@ class TestFigure7:
         assert computed[1] == pytest.approx(22.2, abs=0.3)
 
     @pytest.mark.parametrize("stencil", ["5-point", "9-point-box"])
-    def test_strips_require_larger_problems(self, stencil):
-        result = get_experiment("E-FIG7")()
+    def test_strips_require_larger_problems(self, experiment, stencil):
+        result = experiment("E-FIG7")
         table = result.table(f"log2(n^2_min) — {stencil}")
         sync_strip = table.column("(a) sync strip")
         sync_square = table.column("(c) sync square")
         assert all(st >= sq for st, sq in zip(sync_strip, sync_square))
 
     @pytest.mark.parametrize("stencil", ["5-point", "9-point-box"])
-    def test_thresholds_grow_with_n(self, stencil):
-        result = get_experiment("E-FIG7")()
+    def test_thresholds_grow_with_n(self, experiment, stencil):
+        result = experiment("E-FIG7")
         table = result.table(f"log2(n^2_min) — {stencil}")
         for col in table.headers[1:]:
             series = table.column(col)
@@ -92,8 +92,8 @@ class TestFigure7:
 
 
 class TestFigure8:
-    def test_exponents(self):
-        result = get_experiment("E-FIG8")()
+    def test_exponents(self, experiment):
+        result = experiment("E-FIG8")
         for stencil in ("5-point", "9-point-box"):
             fits = {
                 row[0]: row[1]
@@ -105,8 +105,8 @@ class TestFigure8:
             assert fits["strips"] == pytest.approx(1 / 4, abs=1e-3)
 
     @pytest.mark.parametrize("stencil", ["5-point", "9-point-box"])
-    def test_squares_always_beat_strips(self, stencil):
-        result = get_experiment("E-FIG8")()
+    def test_squares_always_beat_strips(self, experiment, stencil):
+        result = experiment("E-FIG8")
         table = result.table(f"curves — {stencil}")
         sq = table.column("speedup (squares)")
         st = table.column("speedup (strips)")
@@ -118,8 +118,8 @@ class TestFigure8:
 
 
 class TestTable1:
-    def test_growth_exponents(self):
-        result = get_experiment("E-TAB1")()
+    def test_growth_exponents(self, experiment):
+        result = experiment("E-TAB1")
         fits = {row[0]: row[1] for row in result.table("fitted growth exponents").rows}
         assert fits["hypercube"] == pytest.approx(1.0, abs=1e-6)
         assert fits["mesh"] == pytest.approx(1.0, abs=1e-6)
@@ -127,19 +127,19 @@ class TestTable1:
         assert fits["synchronous bus"] == pytest.approx(1 / 3, abs=1e-3)
         assert fits["asynchronous bus"] == pytest.approx(1 / 3, abs=1e-3)
 
-    def test_async_sync_ratios(self):
-        result = get_experiment("E-TAB1")()
+    def test_async_sync_ratios(self, experiment):
+        result = experiment("E-TAB1")
         rows = {r[0]: r[1] for r in result.table("async/sync optimal-speedup ratios").rows}
         assert rows["squares"] == pytest.approx(1.5, rel=1e-6)
         assert rows["strips"] == pytest.approx(math.sqrt(2), rel=1e-6)
 
-    def test_architecture_ordering_at_large_n(self):
+    def test_architecture_ordering_at_large_n(self, experiment):
         """Networks crush buses; async beats sync.  Hypercube-vs-banyan
         absolute ordering is parameter-dependent (Section 7: 'the true
         difference … will not depend on the log factor, but on the
         relative speeds of the communication networks'), so only the
         bus relations are asserted pointwise."""
-        result = get_experiment("E-TAB1")()
+        result = experiment("E-TAB1")
         table = result.table("optimal speedup vs grid size (square partitions)")
         last = table.rows[-1]
         headers = table.headers
@@ -151,8 +151,8 @@ class TestTable1:
 
 
 class TestInText:
-    def test_squares_beat_strips_in_every_accounting(self):
-        result = get_experiment("E-TEXT1")()
+    def test_squares_beat_strips_in_every_accounting(self, experiment):
+        result = experiment("E-TEXT1")
         for row in result.table("speedup at N=16").rows:
             _, st_rw, sq_rw, st_ro, sq_ro, st_paper, sq_paper = row
             assert sq_rw > st_rw
@@ -161,8 +161,8 @@ class TestInText:
         rows = {r[0]: r for r in result.table("speedup at N=16").rows}
         assert rows[1024][1] > rows[256][1]
 
-    def test_paper_printed_values(self):
-        result = get_experiment("E-TEXT1")()
+    def test_paper_printed_values(self, experiment):
+        result = experiment("E-TEXT1")
         rows = {r[0]: r for r in result.table("speedup at N=16").rows}
         # Paper: strips 16/(1+512/n), squares 16/(1+128/n).
         assert rows[1024][5] == pytest.approx(10.67, abs=0.01)
@@ -170,8 +170,8 @@ class TestInText:
         assert rows[1024][6] == pytest.approx(14.2, abs=0.05)
         assert rows[1024][6] == pytest.approx(14.22, abs=0.05)
 
-    def test_flex32_always_all_processors(self):
-        result = get_experiment("E-TEXT2")()
+    def test_flex32_always_all_processors(self, experiment):
+        result = experiment("E-TEXT2")
         table = result.table("FLEX/32-style bus (c/b = 1000) allocations")
         for row in table.rows:
             assert row[3] in ("all", "one")
@@ -180,8 +180,8 @@ class TestInText:
         # Large problems use every processor available.
         assert all(row[4] == row[1] for row in table.rows if row[0] >= 512)
 
-    def test_leverage_factors(self):
-        result = get_experiment("E-TEXT3")()
+    def test_leverage_factors(self, experiment):
+        result = experiment("E-TEXT3")
         table = result.table("cycle-time factor after 2x speedup of one component")
         for row in table.rows:
             assert row[2] == pytest.approx(row[3], rel=1e-6)
@@ -191,16 +191,16 @@ class TestInText:
         assert measured[("square", "b")] == pytest.approx(0.5 ** (2 / 3), abs=1e-9)
         assert measured[("square", "t_flop")] == pytest.approx(0.5 ** (1 / 3), abs=1e-9)
 
-    def test_c_dominated_leverage(self):
+    def test_c_dominated_leverage(self, experiment):
         """When c dominates, bus speed barely helps and c is the lever."""
-        result = get_experiment("E-TEXT3")()
+        result = experiment("E-TEXT3")
         heavy = result.table("c-dominated bus (c/b=1000): leverage of 2x speedups")
         factors = {row[0]: row[1] for row in heavy.rows}
         assert factors["b"] > 0.95
         assert factors["c"] < factors["b"]
 
-    def test_async_factors(self):
-        result = get_experiment("E-TEXT4")()
+    def test_async_factors(self, experiment):
+        result = experiment("E-TEXT4")
         for row in result.table("async/sync ratios").rows:
             assert row[1] == pytest.approx(math.sqrt(2), rel=1e-6)
             assert row[2] == pytest.approx(1.5, rel=1e-6)
@@ -208,20 +208,20 @@ class TestInText:
 
 
 class TestScaledAndExtremal:
-    def test_hypercube_linearity_spread_is_zero(self):
-        result = get_experiment("E-SCAL")()
+    def test_hypercube_linearity_spread_is_zero(self, experiment):
+        result = experiment("E-SCAL")
         spread = result.table("hypercube speedup / n² (constant = exactly linear)")
         assert spread.rows[0][2] == pytest.approx(0.0, abs=1e-12)
 
-    def test_banyan_trails_the_cube_by_a_growing_factor(self):
-        result = get_experiment("E-SCAL")()
+    def test_banyan_trails_the_cube_by_a_growing_factor(self, experiment):
+        result = experiment("E-SCAL")
         table = result.table("scaled speedup, F = 64 points/processor")
         gap = table.column("cube/banyan")
         assert all(b >= a for a, b in zip(gap, gap[1:]))
         assert gap[-1] > 1.0
 
-    def test_all_extremal(self):
-        result = get_experiment("E-EXTREME")()
+    def test_all_extremal(self, experiment):
+        result = experiment("E-EXTREME")
         table = result.table("best processor count over P in [1, 64], n=64 squares")
         assert all(row[2] == "yes" for row in table.rows)
         best = {row[0]: row[1] for row in table.rows}
@@ -230,8 +230,8 @@ class TestScaledAndExtremal:
 
 
 class TestSimulationValidation:
-    def test_rankings_agree_everywhere(self):
-        result = get_experiment("E-SIMVAL")()
+    def test_rankings_agree_everywhere(self, experiment):
+        result = experiment("E-SIMVAL")
         table = result.table("validation summary")
         agrees = table.column("ranking agrees")
         best_model = table.column("best P (model)")
@@ -242,25 +242,25 @@ class TestSimulationValidation:
             if ok != "yes":
                 assert max(bm, bs) <= 2 * min(bm, bs)
 
-    def test_bus_model_is_upper_envelope(self):
-        result = get_experiment("E-SIMVAL")()
+    def test_bus_model_is_upper_envelope(self, experiment):
+        result = experiment("E-SIMVAL")
         summary = result.table("validation summary")
         for row in summary.rows:
             assert row[2] <= 0.02  # mean relative error <= 0 (+ tolerance)
 
-    def test_neighbour_networks_are_near_exact(self):
+    def test_neighbour_networks_are_near_exact(self, experiment):
         """Hypercube and banyan agree within a few percent; the 9-point
         box runs ~6% because its diagonal halo points are exactly the
         corner volume footnote 4 ignores."""
-        result = get_experiment("E-SIMVAL")()
+        result = experiment("E-SIMVAL")
         summary = result.table("validation summary")
         tight = [r for r in summary.rows if "hypercube" in r[0] or "banyan" in r[0]]
         assert tight
         for r in tight:
             assert r[3] < (0.05 if r[1] == "5-point" else 0.08)
 
-    def test_pipelined_scheduling_only_helps(self):
-        result = get_experiment("E-SIMVAL")()
+    def test_pipelined_scheduling_only_helps(self, experiment):
+        result = experiment("E-SIMVAL")
         ablation = result.table("bus scheduling ablation (simulated cycle time)")
         barrier = {r[1]: r[2] for r in ablation.rows if r[0] == "barrier"}
         pipelined = {r[1]: r[2] for r in ablation.rows if r[0] == "pipelined"}
@@ -269,8 +269,8 @@ class TestSimulationValidation:
 
 
 class TestSolver:
-    def test_substrate_anchors(self):
-        result = get_experiment("E-SOLVE")()
+    def test_substrate_anchors(self, experiment):
+        result = experiment("E-SOLVE")
         order_table = result.table("5-point discretization error (order -> 2.0)")
         assert all(row[3] > 1.7 for row in order_table.rows[1:])
         eq = result.table("parallel vs sequential (bit-identical iterates)")

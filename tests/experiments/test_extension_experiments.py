@@ -4,28 +4,26 @@ import math
 
 import pytest
 
-import repro.experiments  # noqa: F401 — registers everything
-from repro.experiments.registry import get_experiment
 
 
 class TestFullyAsync:
-    def test_constant_factors(self):
-        result = get_experiment("E-EXT-FULLASYNC")()
+    def test_constant_factors(self, experiment):
+        result = experiment("E-EXT-FULLASYNC")
         for row in result.table("optimal speedup by overlap level").rows:
             _, kind, s_sync, s_async, s_full, ratio = row
             assert s_sync < s_async < s_full
             expected = math.sqrt(2) if kind == "strip" else 2 ** (1 / 3)
             assert ratio == pytest.approx(expected, rel=1e-6)
 
-    def test_exponents_unchanged(self):
-        result = get_experiment("E-EXT-FULLASYNC")()
+    def test_exponents_unchanged(self, experiment):
+        result = experiment("E-EXT-FULLASYNC")
         for row in result.table("fully-async growth exponents (unchanged)").rows:
             assert row[1] == pytest.approx(row[2], abs=1e-3)
 
 
 class TestMappingAblation:
-    def test_embedding_gain_grows(self):
-        result = get_experiment("E-ABL-MAPPING")()
+    def test_embedding_gain_grows(self, experiment):
+        result = experiment("E-ABL-MAPPING")
         gains = result.table(
             "optimal speedup with and without the embedding"
         ).column("embedding gain")
@@ -37,14 +35,14 @@ class TestMappingAblation:
 
 
 class TestPlacementAblation:
-    def test_identity_and_shift_conflict_free(self):
-        result = get_experiment("E-ABL-PLACEMENT")()
+    def test_identity_and_shift_conflict_free(self, experiment):
+        result = experiment("E-ABL-PLACEMENT")
         table = result.table("max switch-edge congestion by placement")
         assert all(row[1] == 1 for row in table.rows)  # identity
         assert all(row[2] == 1 for row in table.rows)  # shift
 
-    def test_bit_reversal_explodes(self):
-        result = get_experiment("E-ABL-PLACEMENT")()
+    def test_bit_reversal_explodes(self, experiment):
+        result = experiment("E-ABL-PLACEMENT")
         table = result.table("max switch-edge congestion by placement")
         reversal = table.column("bit reversal")
         assert reversal[-1] >= 4 * reversal[0]
@@ -57,8 +55,8 @@ class TestPlacementAblation:
 
 
 class TestIsoefficiency:
-    def test_growth_laws(self):
-        result = get_experiment("E-ISO")()
+    def test_growth_laws(self, experiment):
+        result = experiment("E-ISO")
         table = result.table("n² growth exponent in N at efficiency 0.5")
         fitted = dict(zip(table.column("configuration"), table.column("fitted exponent")))
         assert fitted["hypercube / squares"] == pytest.approx(1.0, abs=0.15)
@@ -68,8 +66,8 @@ class TestIsoefficiency:
 
 
 class TestArbitration:
-    def test_block_fifo_exact(self):
-        result = get_experiment("E-ABL-ARBITRATION")()
+    def test_block_fifo_exact(self, experiment):
+        result = experiment("E-ABL-ARBITRATION")
         table = result.table("phase completion by discipline (V words/processor)")
         for row in table.rows:
             assert row[5] == pytest.approx(1.0, abs=1e-12)
@@ -77,8 +75,8 @@ class TestArbitration:
 
 
 class TestOperators:
-    def test_fixed_point_and_radii(self):
-        result = get_experiment("E-OPERATORS")()
+    def test_fixed_point_and_radii(self, experiment):
+        result = experiment("E-OPERATORS")
         fixed = result.table("Jacobi fixed point vs sparse direct solve")
         assert all(row[2] < 1e-9 for row in fixed.rows)
         radii = {r[0]: r[1] for r in result.table("Jacobi iteration spectral radius").rows}

@@ -646,6 +646,11 @@ class TestServeSubcommand:
 
 
 class TestLintSubcommand:
+    @pytest.fixture(autouse=True)
+    def _shared_report(self, lint_report, monkeypatch):
+        """The CLI renders the session's one lint run instead of its own."""
+        monkeypatch.setattr("repro.analyze.lint_tree", lambda: lint_report)
+
     def test_text_mode_reports_clean_tree(self, capsys):
         assert main(["lint"]) == 0
         out = capsys.readouterr().out
